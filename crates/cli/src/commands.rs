@@ -31,9 +31,12 @@ COMMANDS:
                                       or HD_NO_SIMD=1, forces the portable
                                       i8 GEMM kernel)
     evaluate   --model <model.hdm> --dataset <name>
-               [--test N] [--seed N]  evaluate a saved model
+               [--train N] [--test N] [--seed N]
+                                      evaluate a saved model (the same
+                                      600/200 default split as train, so
+                                      normalisation matches training)
     serve      --model <model.hdm> --dataset <name>
-               [--test N] [--seed N] [--batch N] [--spares N]
+               [--train N] [--test N] [--seed N] [--batch N] [--spares N]
                [--fault transient|link|weight-upset|hang] [--fault-rate R]
                [--fault-seed N] [--no-simd true]
                                       serve through the supervised two-device
@@ -93,15 +96,12 @@ fn apply_simd_flag(args: &ParsedArgs) -> Result<(), String> {
 
 /// One human-readable line naming which low-level kernels served a run:
 /// the `i8` GEMM variant selection plus the packed-vs-GEMM dispatch
-/// counts from a [`hd_tensor::kernels::KernelStats`] delta.
-fn kernel_report_line(delta: &hd_tensor::kernels::KernelStats) -> String {
+/// counts the run's own ledger recorded.
+fn kernel_report_line(simd_gemm_calls: u64, portable_gemm_calls: u64, packed_rows: u64) -> String {
     format!(
-        "kernels: i8 gemm = {} ({} simd / {} portable call(s)), \
-         {} packed bipolar row(s) scored\n",
+        "kernels: i8 gemm = {} ({simd_gemm_calls} simd / {portable_gemm_calls} portable call(s)), \
+         {packed_rows} packed bipolar row(s) scored\n",
         hd_tensor::kernels::i8_gemm_kernel_name(),
-        delta.simd_gemm_calls,
-        delta.portable_gemm_calls,
-        delta.packed_score_rows,
     )
 }
 
@@ -136,11 +136,14 @@ fn resolve_threads(args: &ParsedArgs) -> Result<usize, Box<dyn Error>> {
     Ok(threads)
 }
 
-fn load_dataset(
-    args: &ParsedArgs,
-    default_train: usize,
-    default_test: usize,
-) -> Result<Dataset, Box<dyn Error>> {
+/// Default synthetic split for every dataset-loading command. `train`,
+/// `evaluate` and `serve` must share it: each split is normalised with
+/// the statistics of its own training rows, so a model evaluated on a
+/// different training split sees differently scaled features.
+const DEFAULT_TRAIN_ROWS: usize = 600;
+const DEFAULT_TEST_ROWS: usize = 200;
+
+fn load_dataset(args: &ParsedArgs) -> Result<Dataset, Box<dyn Error>> {
     if let Some(path) = args.get("csv") {
         let options = hd_datasets::csv::CsvOptions {
             has_header: args.get("header").is_some_and(|v| v == "true"),
@@ -154,8 +157,8 @@ fn load_dataset(
     let name = args.required("dataset")?;
     let spec = registry::by_name(name)
         .ok_or_else(|| format!("unknown dataset `{name}` (try `hyperedge datasets`)"))?;
-    let train = args.get_or("train", default_train)?;
-    let test = args.get_or("test", default_test)?;
+    let train = args.get_or("train", DEFAULT_TRAIN_ROWS)?;
+    let test = args.get_or("test", DEFAULT_TEST_ROWS)?;
     let seed = args.get_or("seed", 42u64)?;
     let mut data = spec.generate(SampleBudget::Reduced { train, test }, seed)?;
     data.normalize();
@@ -200,10 +203,9 @@ pub fn train(args: &ParsedArgs) -> CmdResult {
     let iterations = args.get_or("iterations", 10usize)?;
     let seed = args.get_or("seed", 42u64)?;
     let threads = resolve_threads(args)?;
-    let data = load_dataset(args, 600, 200)?;
+    let data = load_dataset(args)?;
 
     hd_tensor::gemm::set_thread_cap(threads);
-    let kernels_before = hd_tensor::kernels::stats();
     let config = PipelineConfig::new(dim)
         .with_iterations(iterations)
         .with_seed(seed)
@@ -217,7 +219,9 @@ pub fn train(args: &ParsedArgs) -> CmdResult {
     )?;
     let report = pipeline.evaluate(&outcome, &data.test.features, &data.test.labels)?;
     hdm::save_model(&outcome.model, &out_path)?;
-    let kernel_delta = hd_tensor::kernels::stats().delta_since(&kernels_before);
+    // The fresh pipeline's backend ledger covers exactly this run's
+    // training and evaluation.
+    let run = pipeline.backend(setting).ledger();
 
     let measured = outcome.ledger.breakdown();
     Ok(format!(
@@ -244,7 +248,11 @@ pub fn train(args: &ParsedArgs) -> CmdResult {
         outcome.ledger.retries,
         outcome.ledger.backoff_s,
         outcome.ledger.fallbacks,
-        kernel_report_line(&kernel_delta),
+        kernel_report_line(
+            run.simd_gemm_calls,
+            run.portable_gemm_calls,
+            run.packed_score_rows
+        ),
     ))
 }
 
@@ -255,7 +263,7 @@ pub fn evaluate(args: &ParsedArgs) -> CmdResult {
         &["model", "dataset", "csv", "header", "train", "test", "seed"],
     )?;
     let model = hdm::load_model(args.required("model")?)?;
-    let data = load_dataset(args, 1, 400)?;
+    let data = load_dataset(args)?;
     if data.feature_count() != model.feature_count() {
         return Err(format!(
             "model expects {} features but dataset has {}",
@@ -307,7 +315,7 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
     )?;
     apply_simd_flag(args)?;
     let model = hdm::load_model(args.required("model")?)?;
-    let data = load_dataset(args, 1, 400)?;
+    let data = load_dataset(args)?;
     if data.feature_count() != model.feature_count() {
         return Err(format!(
             "model expects {} features but dataset has {}",
@@ -350,9 +358,7 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
 
     let server =
         hyperedge::TwoDeviceServer::with_spares(&model, &config, &data.test.features, spares)?;
-    let kernels_before = hd_tensor::kernels::stats();
     let outcome = server.predict_supervised(&data.test.features)?;
-    let kernel_delta = hd_tensor::kernels::stats().delta_since(&kernels_before);
     let report = outcome.report();
     let accuracy = hdc::eval::accuracy(&report.predictions, &data.test.labels)?;
 
@@ -383,7 +389,11 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
             d.records.len()
         ));
     }
-    out.push_str(&kernel_report_line(&kernel_delta));
+    out.push_str(&kernel_report_line(
+        report.kernels.simd_gemm_calls,
+        report.kernels.portable_gemm_calls,
+        report.kernels.packed_score_rows,
+    ));
     Ok(out)
 }
 
@@ -462,7 +472,7 @@ pub fn federated(args: &ParsedArgs) -> CmdResult {
     let rounds = args.get_or("rounds", 5usize)?;
     let dim = args.get_or("dim", 2048usize)?;
     let seed = args.get_or("seed", 42u64)?;
-    let data = load_dataset(args, 600, 200)?;
+    let data = load_dataset(args)?;
 
     let mut config = hyperedge::federated::FederatedConfig::new(dim)
         .with_nodes(nodes)
@@ -659,6 +669,54 @@ mod tests {
         std::fs::remove_file(&model_path).ok();
     }
 
+    /// Extracts the percentage following `label` in a command's output.
+    fn percent_after(out: &str, label: &str) -> String {
+        let tail = &out[out
+            .find(label)
+            .unwrap_or_else(|| panic!("{label} in {out}"))
+            + label.len()..];
+        tail.split('%').next().unwrap().trim().to_string()
+    }
+
+    #[test]
+    fn evaluate_reproduces_the_accuracy_train_reports_on_isolet() {
+        let dir = std::env::temp_dir().join("hyperedge-cli-split-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let model_path = dir.join("isolet.hdm");
+        let model_str = model_path.to_str().unwrap();
+        // Default split on both sides: evaluate must normalise with the
+        // same training rows train did.
+        let trained = train(&parsed(&[
+            "train",
+            "--dataset",
+            "isolet",
+            "--out",
+            model_str,
+            "--dim",
+            "512",
+            "--iterations",
+            "3",
+            "--setting",
+            "cpu",
+        ]))
+        .unwrap();
+        let evaluated = evaluate(&parsed(&[
+            "evaluate",
+            "--model",
+            model_str,
+            "--dataset",
+            "isolet",
+        ]))
+        .unwrap();
+        std::fs::remove_file(&model_path).ok();
+        assert_eq!(
+            percent_after(&trained, "test accuracy:"),
+            percent_after(&evaluated, "accuracy:"),
+            "train:\n{trained}\nevaluate:\n{evaluated}"
+        );
+        assert!(evaluated.contains("over 200 test samples"), "{evaluated}");
+    }
+
     #[test]
     fn serve_reports_per_stage_counters_clean_and_degraded() {
         let dir = std::env::temp_dir().join("hyperedge-cli-serve-test");
@@ -696,6 +754,9 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("outcome: clean"), "{out}");
+        // The kernel line reads the serve's own tally, which the stage
+        // threads filled: both halves ran the int8 GEMM.
+        assert!(!out.contains("(0 simd / 0 portable call(s))"), "{out}");
         assert!(
             out.contains(
                 "stage encode: 0 fault(s), 0 retry(ies), 0.0000s backoff, \

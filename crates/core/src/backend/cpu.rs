@@ -3,6 +3,7 @@
 use parking_lot::Mutex;
 
 use cpu_model::{cost, PlatformSpec};
+use hd_tensor::kernels::{self, KernelStats};
 use hd_tensor::Matrix;
 use hdc::{train_encoded, ClassHypervectors, Encoder, Executor, HdcModel, TrainConfig, TrainStats};
 
@@ -38,17 +39,20 @@ impl CpuBackend {
 
     /// Charges the host update-phase cost for a finished training run:
     /// one similarity pass over `rows` samples plus the executed class
-    /// updates, per iteration. Shared by [`CpuBackend::train_classes`]
-    /// and the hybrid backend's streamed encode→update path, so both
-    /// charge identically for identical work.
+    /// updates, per iteration, and the kernel activity the run caused.
+    /// Shared by [`CpuBackend::train_classes`] and the hybrid backend's
+    /// streamed encode→update path, so both charge identically for
+    /// identical work.
     pub(crate) fn charge_update(
         &self,
         rows: usize,
         classes: usize,
         stats: &TrainStats,
+        kernels: KernelStats,
         config: &TrainConfig,
     ) {
         let mut ledger = self.ledger.lock();
+        ledger.absorb_kernel_stats(kernels);
         for iteration in &stats.iterations {
             ledger.update_s += cost::similarity_s(&self.spec, rows, config.dim, classes)
                 + cost::class_update_s(&self.spec, iteration.updates, config.dim);
@@ -77,11 +81,10 @@ impl Executor for CpuBackend {
         classes: usize,
         config: &TrainConfig,
     ) -> hdc::Result<(ClassHypervectors, TrainStats)> {
-        let kernels_before = hd_tensor::kernels::stats();
-        let (class_hvs, stats) = train_encoded(encoded, labels, classes, config)?;
-        let kernel_delta = hd_tensor::kernels::stats().delta_since(&kernels_before);
-        self.ledger.lock().absorb_kernel_stats(kernel_delta);
-        self.charge_update(encoded.rows(), classes, &stats, config);
+        let (trained, kernels) =
+            kernels::counted(|| train_encoded(encoded, labels, classes, config));
+        let (class_hvs, stats) = trained?;
+        self.charge_update(encoded.rows(), classes, &stats, kernels, config);
         Ok((class_hvs, stats))
     }
 }
@@ -92,11 +95,10 @@ impl ExecutionBackend for CpuBackend {
     }
 
     fn predict(&self, model: &HdcModel, features: &Matrix) -> crate::Result<Vec<usize>> {
-        let kernels_before = hd_tensor::kernels::stats();
-        let predictions = model.predict(features)?;
-        let kernel_delta = hd_tensor::kernels::stats().delta_since(&kernels_before);
+        let (predictions, kernels) = kernels::counted(|| model.predict(features));
+        let predictions = predictions?;
         let mut ledger = self.ledger.lock();
-        ledger.absorb_kernel_stats(kernel_delta);
+        ledger.absorb_kernel_stats(kernels);
         ledger.predicted_samples += features.rows() as u64;
         ledger.infer_s += cost::encode_s(
             &self.spec,

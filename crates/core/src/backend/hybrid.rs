@@ -106,7 +106,10 @@ impl Executor for HybridBackend {
         // the hardware produces it (faults ride the channel as Err
         // tokens), update consumes the stream in batch order. The
         // runtime's bounded stage channel is the declared STREAM_DEPTH.
-        let mut trained: Option<hdc::Result<(ClassHypervectors, TrainStats)>> = None;
+        let mut trained: Option<(
+            hdc::Result<(ClassHypervectors, TrainStats)>,
+            hd_tensor::kernels::KernelStats,
+        )> = None;
         {
             let slot = &mut trained;
             // Supervised with no fallback: device-side faults already
@@ -134,12 +137,9 @@ impl Executor for HybridBackend {
                 },
                 Binding::SupervisedStream {
                     f: Box::new(move |ctx| {
-                        *slot = Some(hdc::train_encoded_streamed(
-                            ctx.input_iter(0),
-                            labels,
-                            classes,
-                            config,
-                        ));
+                        *slot = Some(hd_tensor::kernels::counted(|| {
+                            hdc::train_encoded_streamed(ctx.input_iter(0), labels, classes, config)
+                        }));
                         Ok(())
                     }),
                     fallback: None,
@@ -153,10 +153,11 @@ impl Executor for HybridBackend {
                 )),
             })?;
         }
-        let result = trained
-            .ok_or_else(|| HdcError::Backend("streamed update stage never ran".into()))??;
+        let (result, kernels) =
+            trained.ok_or_else(|| HdcError::Backend("streamed update stage never ran".into()))?;
+        let result = result?;
         self.host
-            .charge_update(batch.rows(), classes, &result.1, config);
+            .charge_update(batch.rows(), classes, &result.1, kernels, config);
         Ok(result)
     }
 }

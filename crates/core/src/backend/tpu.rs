@@ -326,10 +326,14 @@ impl TpuBackend {
                         ledger.backoff_s += ctx.backoff_s;
                     }
                     let (start, part) = &tokens[0];
-                    match self
-                        .device
-                        .invoke_overlapped_with_deadline(part, ctx.deadline_s)
-                    {
+                    // Kernel activity is counted on this stage thread,
+                    // around the one call that runs the device datapath.
+                    let (invoked, kernels) = hd_tensor::kernels::counted(|| {
+                        self.device
+                            .invoke_overlapped_with_deadline(part, ctx.deadline_s)
+                    });
+                    self.ledger.lock().absorb_kernel_stats(kernels);
+                    match invoked {
                         Ok((out, _stats)) => {
                             self.breaker.lock().consecutive_failures = 0;
                             Ok((vec![(*start, out)], Fire::Continue))
@@ -583,11 +587,11 @@ impl ExecutionBackend for TpuBackend {
             None => {
                 // Degraded: host-side prediction, bit-identical to
                 // CpuBackend's path and charged at its host cost.
-                let kernels_before = hd_tensor::kernels::stats();
-                let predictions = model.predict(features)?;
-                let kernel_delta = hd_tensor::kernels::stats().delta_since(&kernels_before);
+                let (predictions, kernels) =
+                    hd_tensor::kernels::counted(|| model.predict(features));
+                let predictions = predictions?;
                 let mut ledger = self.ledger.lock();
-                ledger.absorb_kernel_stats(kernel_delta);
+                ledger.absorb_kernel_stats(kernels);
                 ledger.fallbacks += 1;
                 ledger.predicted_samples += features.rows() as u64;
                 ledger.infer_s += device_s

@@ -28,8 +28,10 @@ use hd_dataflow::runtime::{
     self, Binding, Fire, FiringCtx, RunError, StageSupervision, Supervised, SupervisedFn,
     Supervision,
 };
+use hd_tensor::kernels::KernelStats;
 use hd_tensor::{ops, Matrix};
 use hdc::{Encoder, HdcModel};
+use parking_lot::Mutex;
 use tpu_sim::timing::ModelDims;
 use tpu_sim::{Device, DeviceConfig};
 use wide_nn::compile;
@@ -53,14 +55,27 @@ fn encode_executor<'env>(
     seat: &'env StageSeat<'env>,
     features: &'env Matrix,
     chunk: usize,
+    kernels: &'env Mutex<KernelStats>,
 ) -> SupervisedFn<'env, Matrix, crate::FrameworkError> {
     let rows = features.rows();
     Box::new(move |ctx: FiringCtx, _inputs: &[Matrix]| {
         let start = (ctx.firing as usize) * chunk;
         let end = (start + chunk).min(rows);
         let part = features.slice_rows(start, end)?;
-        Ok((vec![seat.invoke(&part)?], Fire::Continue))
+        Ok((vec![counted_invoke(seat, &part, kernels)?], Fire::Continue))
     })
+}
+
+/// Invokes the seat's device (or host fallback) on this stage thread and
+/// adds the kernel calls it made to the serve's tally.
+fn counted_invoke(
+    seat: &StageSeat<'_>,
+    batch: &Matrix,
+    kernels: &Mutex<KernelStats>,
+) -> crate::Result<Matrix> {
+    let (out, delta) = hd_tensor::kernels::counted(|| seat.invoke(batch));
+    *kernels.lock() += delta;
+    out
 }
 
 /// The score stage's supervised executor: score the encoded chunk on the
@@ -70,9 +85,10 @@ fn encode_executor<'env>(
 fn score_executor<'env>(
     seat: &'env StageSeat<'env>,
     predictions: &'env std::sync::Mutex<Vec<usize>>,
+    kernels: &'env Mutex<KernelStats>,
 ) -> SupervisedFn<'env, Matrix, crate::FrameworkError> {
     Box::new(move |_ctx: FiringCtx, tokens: &[Matrix]| {
-        let scores = seat.invoke(&tokens[0])?;
+        let scores = counted_invoke(seat, &tokens[0], kernels)?;
         let mut out = predictions.lock().expect("predictions sink");
         for r in 0..scores.rows() {
             out.push(ops::argmax(scores.row(r))?);
@@ -94,6 +110,9 @@ pub struct ServeReport {
     pub device_faults: Vec<DeviceFaultSummary>,
     /// Pool ordinals quarantined as of the end of the serve, ascending.
     pub quarantined: Vec<usize>,
+    /// Kernel calls the serve's device and host-fallback invocations made,
+    /// counted on the stage threads that ran them.
+    pub kernels: KernelStats,
 }
 
 /// Outcome of a supervised serve. Both arms carry bit-exact
@@ -302,37 +321,45 @@ impl TwoDeviceServer {
         let fault_snapshot = self.pool.fault_snapshot();
         let quarantined_before = self.pool.quarantined();
         let predictions = std::sync::Mutex::new(Vec::with_capacity(rows));
+        let kernels = Mutex::new(KernelStats::default());
 
         let report = {
             let encode_seat = &encode_seat;
             let score_seat = &score_seat;
             let predictions = &predictions;
+            let kernels = &kernels;
             // Both executors dispatch through their seat's interior
             // state, so a quarantine escalation just drains the seat to
             // a sibling (or the host) and mints an identical
             // replacement executor: the re-run of the failed firing —
             // and every later firing — lands on the new device.
             let bindings: Vec<Binding<'_, Matrix, crate::FrameworkError>> = vec![
-                Supervised::map(supervision, encode_executor(encode_seat, features, chunk))
-                    .retry_when(|e: &crate::FrameworkError| e.device_fault())
-                    .or_quarantine(move |_firing, _attempts, e: &crate::FrameworkError| {
-                        if !e.device_fault() {
-                            return None;
-                        }
-                        encode_seat.rebind();
-                        Some(encode_executor(encode_seat, features, chunk))
-                    })
-                    .into_binding(),
-                Supervised::map(supervision, score_executor(score_seat, predictions))
-                    .retry_when(|e: &crate::FrameworkError| e.device_fault())
-                    .or_quarantine(move |_firing, _attempts, e: &crate::FrameworkError| {
-                        if !e.device_fault() {
-                            return None;
-                        }
-                        score_seat.rebind();
-                        Some(score_executor(score_seat, predictions))
-                    })
-                    .into_binding(),
+                Supervised::map(
+                    supervision,
+                    encode_executor(encode_seat, features, chunk, kernels),
+                )
+                .retry_when(|e: &crate::FrameworkError| e.device_fault())
+                .or_quarantine(move |_firing, _attempts, e: &crate::FrameworkError| {
+                    if !e.device_fault() {
+                        return None;
+                    }
+                    encode_seat.rebind();
+                    Some(encode_executor(encode_seat, features, chunk, kernels))
+                })
+                .into_binding(),
+                Supervised::map(
+                    supervision,
+                    score_executor(score_seat, predictions, kernels),
+                )
+                .retry_when(|e: &crate::FrameworkError| e.device_fault())
+                .or_quarantine(move |_firing, _attempts, e: &crate::FrameworkError| {
+                    if !e.device_fault() {
+                        return None;
+                    }
+                    score_seat.rebind();
+                    Some(score_executor(score_seat, predictions, kernels))
+                })
+                .into_binding(),
             ];
             let chunks = rows.div_ceil(chunk) as u64;
             runtime::run(&plan, chunks, bindings).map_err(|e| match e {
@@ -352,6 +379,7 @@ impl TwoDeviceServer {
             supervision: report.supervision,
             device_faults: self.pool.fault_delta(&fault_snapshot),
             quarantined,
+            kernels: kernels.into_inner(),
         };
         Ok(if degraded {
             ServeOutcome::Degraded(report)

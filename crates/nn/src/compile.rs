@@ -201,6 +201,8 @@ impl CompiledModel {
 ///   cannot execute (element-wise training updates).
 /// * [`NnError::ModelTooLarge`] — quantized parameters exceed the
 ///   target's buffer.
+/// * [`NnError::AccumulatorDepth`] — a fully-connected layer reduces over
+///   more than [`hd_quant::gemm::MAX_DEPTH`] inputs.
 /// * Calibration/shape errors propagated from quantization.
 ///
 /// # Examples
@@ -301,6 +303,16 @@ fn compile_inner(
             ),
             QuantStage::Lut(_) => continue,
         };
+        // The int8 datapath accumulates in i32 and is exact only up to a
+        // fixed reduction depth. The depth is a property of the layer's
+        // shape, so no input or weight fault can change it.
+        if rows > hd_quant::gemm::MAX_DEPTH {
+            return Err(NnError::AccumulatorDepth {
+                layer: i,
+                depth: rows,
+                max: hd_quant::gemm::MAX_DEPTH,
+            });
+        }
         tile_plans.push(TilePlan {
             stage_index: i,
             tiles_k: rows.div_ceil(target.array_rows),
@@ -383,6 +395,35 @@ mod tests {
                 assert_eq!(target, "edge-tpu-sim");
             }
             other => panic!("unexpected error {other}"),
+        }
+    }
+
+    #[test]
+    fn accumulator_depth_is_enforced_at_the_datapath_bound() {
+        let max = hd_quant::gemm::MAX_DEPTH;
+        let deep = |k: usize| {
+            let model = ModelBuilder::new(k)
+                .fully_connected(Matrix::filled(k, 1, 1.0))
+                .unwrap()
+                .build()
+                .unwrap();
+            (model, Matrix::filled(2, k, 0.5))
+        };
+        let (model, calib) = deep(max);
+        assert!(compile(&model, &calib, &TargetSpec::default()).is_ok());
+        let (model, calib) = deep(max + 1);
+        for result in [
+            compile(&model, &calib, &TargetSpec::default()),
+            compile_per_channel(&model, &calib, &TargetSpec::default()),
+        ] {
+            assert_eq!(
+                result.unwrap_err(),
+                NnError::AccumulatorDepth {
+                    layer: 0,
+                    depth: max + 1,
+                    max,
+                }
+            );
         }
     }
 

@@ -50,6 +50,17 @@ pub enum NnError {
         /// Bytes available in the target's parameter buffer.
         available: usize,
     },
+    /// A fully-connected layer's reduction dimension exceeds the depth at
+    /// which the int8 datapath's `i32` accumulator is exact
+    /// ([`hd_quant::gemm::MAX_DEPTH`]).
+    AccumulatorDepth {
+        /// Zero-based index of the offending layer.
+        layer: usize,
+        /// The layer's reduction dimension (its input width).
+        depth: usize,
+        /// The deepest reduction the datapath supports.
+        max: usize,
+    },
     /// A compilation target was described with invalid parameters.
     InvalidTarget(String),
     /// The static model-graph verifier rejected the model.
@@ -97,6 +108,10 @@ impl fmt::Display for NnError {
             } => write!(
                 f,
                 "model parameters need {required} bytes, target buffer holds {available}"
+            ),
+            NnError::AccumulatorDepth { layer, depth, max } => write!(
+                f,
+                "layer {layer} reduces over {depth} inputs, but the int8 datapath's i32 accumulator is exact only up to {max}"
             ),
             NnError::InvalidTarget(msg) => write!(f, "invalid target spec: {msg}"),
             NnError::Verification { diagnostics } => {

@@ -47,11 +47,11 @@ pub enum QuantStage {
 
 /// A post-training-quantized wide NN and its reference int8 executor.
 ///
-/// The executor uses the exact kernels of [`hd_quant`], which the
-/// `tpu-sim` crate also uses; an integration test pins the two paths to
-/// bit-identical outputs. This mirrors the paper's toolchain, where the
-/// TFLite reference interpreter and the Edge TPU produce the same
-/// quantized results.
+/// The executor runs on the shared kernels of [`hd_quant`], and the
+/// `tpu-sim` device computes its outputs by calling this executor (it
+/// models only time), so the two are bit-identical by construction. This
+/// mirrors the paper's toolchain, where the TFLite reference interpreter
+/// and the Edge TPU produce the same quantized results.
 ///
 /// # Examples
 ///
@@ -251,9 +251,9 @@ impl QuantizedModel {
         }
     }
 
-    /// The executable stages, in order. Exposed so execution engines (the
-    /// systolic-array simulator, the host engine) can drive the same
-    /// datapath while adding their own timing.
+    /// The executable stages, in order. Exposed so timing models (the
+    /// simulated device's cycle accounting) and analyses can read the
+    /// layer shapes the datapath executes.
     pub fn stages(&self) -> &[QuantStage] {
         &self.stages
     }

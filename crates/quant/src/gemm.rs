@@ -1,9 +1,9 @@
 //! Quantized matrix multiplication with `i32` accumulators.
 //!
-//! This is the arithmetic contract shared between the reference quantized
-//! executor in `wide-nn` and the systolic-array simulator in `tpu-sim`:
-//! both call into these kernels, so their outputs are bit-identical by
-//! construction, and an integration test pins that equivalence.
+//! This is the arithmetic of the reference quantized executor in
+//! `wide-nn`, which the simulated device in `tpu-sim` runs as its own
+//! datapath (the device adds only time), so the two are bit-identical by
+//! construction.
 //!
 //! The affine algebra: with `a = sa (qa - za)` and `b = sb (qb - zb)`,
 //!
@@ -13,12 +13,31 @@
 //!
 //! so the integer kernel accumulates `(qa - za)(qb - zb)` in `i32` and the
 //! combined scale `sa * sb` converts the accumulator to real values.
+//!
+//! # The `i32` accumulator contract
+//!
+//! Zero points lie in the `i8` range, so each centred factor
+//! `(q - z)` lies in `[-255, 255]` and each centred product in
+//! `[-255², 255²]`. The result is therefore exact in `i32` for any
+//! operands and zero points while `k * 255² <= 2^31 - 1`, i.e.
+//! `k <= 33_025` ([`MAX_DEPTH`]). The kernel never forms that sum
+//! directly; it computes the raw `Σ qa·qb` and subtracts the zero-point
+//! corrections (see [`matmul_accumulate`]), and at that depth every
+//! intermediate stays inside `i32` as well (the largest,
+//! `Σ (qa - za)·qb - zb·Σ qa`, is at most `k * 48_896`), so debug builds
+//! with overflow checks pass at the bound. `wide_nn::compile` rejects
+//! any fully-connected stage deeper than [`MAX_DEPTH`].
 
 use hd_tensor::{Matrix, TensorError};
 
 use crate::matrix::QuantizedMatrix;
 use crate::params::QuantParams;
 use crate::Result;
+
+/// Deepest reduction dimension `k` for which [`matmul_accumulate`] is
+/// exact in `i32` for every operand and zero point: the largest `k`
+/// with `k * 255² <= 2^31 - 1` (see the module docs).
+pub const MAX_DEPTH: usize = 33_025;
 
 fn check(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<()> {
     if a.cols() != b.rows() {
@@ -57,18 +76,12 @@ pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Ve
     //   = sum_p qa qb - za * colsum_b[j] - zb * rowsum_a[i] + k za zb
     // ```
     //
-    // which is exact integer arithmetic under the same no-overflow
-    // contract the fused scalar kernel always had (`k * 127^2 < 2^31`,
-    // proven for compiled models by the `wide-nn` range verifier).
+    // which is exact integer arithmetic, every intermediate included,
+    // for `k <= MAX_DEPTH` (see the module docs).
     let mut acc = hd_tensor::gemm::matmul_i8_i32(a.as_slice(), b.as_slice(), m, k, n)?;
 
     if za != 0 || zb != 0 {
-        let mut col_sums = vec![0i32; n];
-        for p in 0..k {
-            for (cs, &bq) in col_sums.iter_mut().zip(b.row(p)) {
-                *cs += i32::from(bq);
-            }
-        }
+        let col_sums = column_sums(b.as_slice(), n);
         let row_sums = (0..m).map(|i| a.row(i).iter().map(|&aq| i32::from(aq)).sum::<i32>());
         let k_za_zb = crate::narrow::saturate_i64_to_i32(i64::from(za) * i64::from(zb) * k as i64);
         for (out_row, rs) in acc.chunks_mut(n.max(1)).zip(row_sums) {
@@ -79,6 +92,18 @@ pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Ve
         }
     }
     Ok((acc, a.params().scale() * b.params().scale()))
+}
+
+/// Per-column sums of a row-major int8 matrix `n` columns wide: the
+/// `Σ_p qb[p, j]` term of the zero-point decomposition.
+pub(crate) fn column_sums(data: &[i8], n: usize) -> Vec<i32> {
+    let mut sums = vec![0i32; n];
+    for row in data.chunks(n.max(1)) {
+        for (sum, &q) in sums.iter_mut().zip(row) {
+            *sum += i32::from(q);
+        }
+    }
+    sums
 }
 
 /// Multiplies two quantized matrices and dequantizes the result to `f32`.
@@ -244,6 +269,29 @@ mod tests {
             let qb = QuantizedMatrix::quantize(&b, QuantParams::from_raw(0.01, zb).unwrap());
             let (acc, _) = matmul_accumulate(&qa, &qb).unwrap();
             assert_eq!(acc, fused_reference(&qa, &qb), "seed {seed}");
+        }
+    }
+
+    /// Every intermediate of the zero-point decomposition must stay inside
+    /// `i32` at `MAX_DEPTH` (the test profile checks overflow), and the
+    /// result must equal the exact `i64` sum.
+    #[test]
+    fn accumulator_is_exact_at_max_depth_with_extreme_operands() {
+        let k = MAX_DEPTH;
+        for (qa, za, qb, zb) in [
+            (-128i8, 127, 127i8, -128),
+            (127, -128, 127, -128),
+            (-128, 127, -128, 127),
+            (127, -128, -128, 127),
+        ] {
+            let pa = QuantParams::from_raw(0.01, za).unwrap();
+            let pb = QuantParams::from_raw(0.01, zb).unwrap();
+            let a = QuantizedMatrix::from_raw(2, k, vec![qa; 2 * k], pa);
+            let b = QuantizedMatrix::from_raw(k, 3, vec![qb; 3 * k], pb);
+            let centred = (i64::from(qa) - i64::from(za)) * (i64::from(qb) - i64::from(zb));
+            assert_eq!(centred.abs(), 255 * 255);
+            let exact = i32::try_from(k as i64 * centred).unwrap();
+            assert_eq!(matmul_accumulate(&a, &b).unwrap().0, vec![exact; 6]);
         }
     }
 

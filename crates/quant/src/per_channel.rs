@@ -147,18 +147,16 @@ impl ChannelQuantizedMatrix {
         let m = a.rows();
         let za = a.params().zero_point();
         let sa = a.params().scale();
-        let mut acc = vec![0i32; m * self.cols];
-        for i in 0..m {
-            let a_row = a.row(i);
-            let out_row = &mut acc[i * self.cols..(i + 1) * self.cols];
-            for (p, &aq) in a_row.iter().enumerate().take(self.rows) {
-                let av = aq as i32 - za;
-                if av == 0 {
-                    continue;
-                }
-                let w_row = &self.data[p * self.cols..(p + 1) * self.cols];
-                for (o, &wq) in out_row.iter_mut().zip(w_row) {
-                    *o += av * wq as i32;
+        // The weights' zero point is 0, so the centred product needs only
+        // the activation correction: Σ (qa - za) w = Σ qa w - za Σ w. The
+        // same i32 contract as `gemm::matmul_accumulate` applies.
+        let mut acc =
+            hd_tensor::gemm::matmul_i8_i32(a.as_slice(), &self.data, m, self.rows, self.cols)?;
+        if za != 0 {
+            let col_sums = crate::gemm::column_sums(&self.data, self.cols);
+            for out_row in acc.chunks_mut(self.cols.max(1)) {
+                for (o, &cs) in out_row.iter_mut().zip(&col_sums) {
+                    *o -= za * cs;
                 }
             }
         }
@@ -167,7 +165,7 @@ impl ChannelQuantizedMatrix {
             .enumerate()
             .map(|(idx, &v)| sa * self.scales[idx % self.cols] * v as f32)
             .collect();
-        Ok(Matrix::from_vec(m, self.cols, data).expect("shape invariant"))
+        Matrix::from_vec(m, self.cols, data).map_err(Into::into)
     }
 }
 

@@ -295,10 +295,11 @@ pub(crate) fn selected_i8_kernel() -> &'static str {
 /// across worker threads under the same [`set_thread_cap`] /
 /// `HD_THREADS` budget as the `f32` kernel.
 ///
-/// The caller owns overflow: accumulation is exact while
-/// `k * 127 * 127 < 2^31` (`k < 33022`), the same contract the scalar
-/// quantized kernel has always had and the range the static verifier in
-/// `wide-nn` proves for compiled models.
+/// The caller owns overflow. Every product lies in `[-16256, 16384]`
+/// (`-128 * -128` is the extreme), so the `i32` accumulator is exact for
+/// any operands while `k * 2^14 <= 2^31 - 1`, i.e. `k <= 131_071`.
+/// Callers that subtract zero points (`hd_quant::gemm`) need a tighter
+/// depth bound, which they state and enforce themselves.
 ///
 /// # Errors
 ///
@@ -742,12 +743,14 @@ mod tests {
 
     #[test]
     fn i8_gemm_extreme_values_do_not_overflow_within_contract() {
-        // k * 127 * 127 far below 2^31: exact accumulation required.
-        let k = 1024;
+        // At the documented depth bound every product is the extreme
+        // 2^14 and the sum lands just under i32::MAX (overflow-checked in
+        // debug builds).
+        let k = 131_071;
         let a = vec![-128i8; k];
-        let b = vec![127i8; k];
+        let b = vec![-128i8; k];
         let out = matmul_i8_i32(&a, &b, 1, k, 1).unwrap();
-        assert_eq!(out, vec![-128 * 127 * 1024]);
+        assert_eq!(i64::from(out[0]), 16_384 * k as i64);
     }
 
     #[test]

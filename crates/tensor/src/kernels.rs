@@ -1,29 +1,31 @@
-//! Kernel-selection switches and process-wide kernel counters.
+//! Kernel-selection switches and per-thread kernel counters.
 //!
 //! The packed-bipolar and SIMD int8 kernels are drop-in replacements for
 //! scalar math, so nothing in an experiment's *output* reveals which
 //! kernel actually ran. This module makes the selection observable: every
-//! kernel entry point bumps a monotone process-wide counter, and callers
-//! (the execution backends, the CLI's `train`/`serve` reports) snapshot
-//! [`stats`] before and after a workload to attribute kernel activity in
-//! the `BackendLedger`.
+//! kernel entry point bumps a monotone counter of the *calling thread*,
+//! and callers (the execution backends, the serving pipeline) wrap a
+//! workload in [`counted`] on the thread that runs it to attribute kernel
+//! activity in the `BackendLedger` or `ServeReport`. The counters are
+//! thread-local, so two workloads running at the same time — parallel
+//! tests, or a server scoring while a pipeline trains — never count each
+//! other's calls. Every `note_*` hook runs on the calling thread before
+//! any row-band fan-out, so a kernel call is counted exactly once, on the
+//! thread that made it.
 //!
 //! It also owns the SIMD escape hatch: [`set_simd_enabled`] (wired to the
 //! CLI's `--no-simd` flag) and the `HD_NO_SIMD` environment variable both
 //! force the portable fallback, which is how the equivalence suite pins
 //! the non-SIMD path on machines where AVX2 would otherwise be selected.
+//! Unlike the counters, this switch is process-wide.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Monotone count of rows scored through the packed Hamming kernel.
-static PACKED_SCORE_ROWS: AtomicU64 = AtomicU64::new(0);
-/// Monotone count of `i8` GEMM calls taking the SIMD (AVX2) kernel.
-static SIMD_GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
-/// Monotone count of `i8` GEMM calls taking the portable fallback kernel.
-static PORTABLE_GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
-/// Monotone count of packed words pushed through the vertical-counter
-/// bundler.
-static BUNDLE_WORDS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's monotone kernel counters.
+    static COUNTERS: Cell<KernelStats> = const { Cell::new(KernelStats::ZERO) };
+}
 
 /// Process-wide SIMD kill switch; `true` forces the portable kernels.
 static SIMD_DISABLED: AtomicBool = AtomicBool::new(false);
@@ -33,9 +35,9 @@ static SIMD_DISABLED: AtomicBool = AtomicBool::new(false);
 #[cfg(test)]
 pub(crate) static TEST_SIMD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Snapshot of the process-wide kernel counters; subtract two snapshots
+/// Snapshot of one thread's kernel counters; subtract two snapshots
 /// (see [`KernelStats::delta_since`]) to attribute activity to one
-/// workload.
+/// workload on that thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Rows scored through the packed XOR+popcount class scan.
@@ -49,6 +51,13 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
+    const ZERO: KernelStats = KernelStats {
+        packed_score_rows: 0,
+        simd_gemm_calls: 0,
+        portable_gemm_calls: 0,
+        bundle_words: 0,
+    };
+
     /// Counter increments since `earlier` (saturating, so a stale
     /// snapshot can never underflow).
     #[must_use]
@@ -66,30 +75,51 @@ impl KernelStats {
     }
 }
 
-/// Current process-wide kernel counters.
-pub fn stats() -> KernelStats {
-    KernelStats {
-        packed_score_rows: PACKED_SCORE_ROWS.load(Ordering::Relaxed),
-        simd_gemm_calls: SIMD_GEMM_CALLS.load(Ordering::Relaxed),
-        portable_gemm_calls: PORTABLE_GEMM_CALLS.load(Ordering::Relaxed),
-        bundle_words: BUNDLE_WORDS.load(Ordering::Relaxed),
+impl std::ops::AddAssign for KernelStats {
+    fn add_assign(&mut self, other: KernelStats) {
+        self.packed_score_rows += other.packed_score_rows;
+        self.simd_gemm_calls += other.simd_gemm_calls;
+        self.portable_gemm_calls += other.portable_gemm_calls;
+        self.bundle_words += other.bundle_words;
     }
 }
 
+/// This thread's kernel counters: every kernel call made on the calling
+/// thread since it started, and nothing any other thread ran.
+pub fn stats() -> KernelStats {
+    COUNTERS.with(Cell::get)
+}
+
+/// Runs `f` on the calling thread and returns its result together with
+/// the kernel activity it caused there.
+pub fn counted<T>(f: impl FnOnce() -> T) -> (T, KernelStats) {
+    let before = stats();
+    let out = f();
+    (out, stats().delta_since(&before))
+}
+
+fn bump(update: impl FnOnce(&mut KernelStats)) {
+    COUNTERS.with(|cell| {
+        let mut counters = cell.get();
+        update(&mut counters);
+        cell.set(counters);
+    });
+}
+
 pub(crate) fn note_packed_score(rows: usize) {
-    PACKED_SCORE_ROWS.fetch_add(rows as u64, Ordering::Relaxed);
+    bump(|c| c.packed_score_rows += rows as u64);
 }
 
 pub(crate) fn note_simd_gemm() {
-    SIMD_GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
+    bump(|c| c.simd_gemm_calls += 1);
 }
 
 pub(crate) fn note_portable_gemm() {
-    PORTABLE_GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
+    bump(|c| c.portable_gemm_calls += 1);
 }
 
 pub(crate) fn note_bundle_word(words: usize) {
-    BUNDLE_WORDS.fetch_add(words as u64, Ordering::Relaxed);
+    bump(|c| c.bundle_words += words as u64);
 }
 
 /// Enables or disables the SIMD kernels process-wide; `false` forces the
@@ -125,10 +155,23 @@ mod tests {
         note_bundle_word(5);
         let after = stats();
         let delta = after.delta_since(&before);
-        assert!(delta.packed_score_rows >= 3);
-        assert!(delta.bundle_words >= 5);
+        assert_eq!(delta.packed_score_rows, 3);
+        assert_eq!(delta.bundle_words, 5);
         // A stale (future) snapshot saturates to zero instead of wrapping.
         assert_eq!(before.delta_since(&after).packed_score_rows, 0);
+    }
+
+    #[test]
+    fn counters_are_per_thread() {
+        let ((), delta) = counted(|| {
+            std::thread::scope(|s| {
+                s.spawn(note_simd_gemm);
+            });
+            note_portable_gemm();
+        });
+        // The spawned thread's call lands in its own counters only.
+        assert_eq!(delta.simd_gemm_calls, 0);
+        assert_eq!(delta.portable_gemm_calls, 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Dense tensor and linear-algebra substrate for the HyperEdge workspace.
 //!
 //! Everything in HyperEdge — hyperdimensional encoding, the wide-NN
-//! interpretation of an HDC model, the systolic-array simulator's reference
-//! path, and the host CPU execution engine — bottoms out in dense row-major
+//! interpretation of an HDC model, the simulated accelerator's int8
+//! datapath, and the host CPU execution engine — bottoms out in dense row-major
 //! `f32` matrices and a small set of vector kernels. This crate provides:
 //!
 //! * [`Matrix`] — an owned, row-major, dense `f32` matrix with shape-checked

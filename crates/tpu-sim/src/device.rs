@@ -2,7 +2,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use hd_tensor::Matrix;
-use wide_nn::{CompiledModel, QuantStage};
+use wide_nn::CompiledModel;
 
 use crate::buffer::UnifiedBuffer;
 use crate::config::DeviceConfig;
@@ -10,7 +10,7 @@ use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan, FaultTrace, LinkDirection};
 use crate::link::HostLink;
 use crate::systolic::SystolicArray;
-use crate::timing::ModelDims;
+use crate::timing::{self, ModelDims};
 use crate::Result;
 
 /// Timing breakdown of one [`Device::invoke`] call, all in seconds.
@@ -267,10 +267,12 @@ impl Device {
     /// returning the dequantized outputs and the timing breakdown of this
     /// single invocation.
     ///
-    /// The numeric path is: quantize inputs with the model's calibrated
-    /// input parameters, run every stage in int8 through the systolic
-    /// array and activation LUTs, dequantize the outputs. This matches
-    /// [`wide_nn::QuantizedModel::forward`] bit-for-bit.
+    /// The numeric path *is* the reference executor,
+    /// [`wide_nn::QuantizedModel::forward`]: quantize inputs with the
+    /// model's calibrated input parameters, run every stage through the
+    /// shared int8 kernel and activation LUTs, dequantize the outputs. The
+    /// device adds only time: compute cycles from
+    /// [`timing::stage_costs`], which depend on layer shapes alone.
     ///
     /// Host-side costs (the quantize/dequantize themselves) are *not*
     /// charged here — they belong to the host CPU model, exactly as in the
@@ -416,47 +418,12 @@ impl Device {
                 .record_failed_attempt(overhead_s + input_transfer_s);
             return Err(SimError::WeightCorruption);
         }
-        let mut cycles: u64 = 0;
-        let mut current = quantized.quantize_input(batch)?;
-        for stage in quantized.stages() {
-            match stage {
-                QuantStage::FullyConnected {
-                    weights,
-                    out_params,
-                } => {
-                    let (next, c) = self.array.execute_fc(&current, weights, *out_params)?;
-                    cycles += c;
-                    current = next;
-                }
-                QuantStage::FullyConnectedPerChannel {
-                    weights,
-                    out_params,
-                } => {
-                    // Per-channel requantization shares the MXU streaming
-                    // cost; the per-column scale multiply happens in the
-                    // output stage at no extra cycles.
-                    let real = weights
-                        .matmul_dequantized(&current)
-                        .map_err(wide_nn::NnError::from)?;
-                    cycles +=
-                        self.array
-                            .stream_cycles(current.rows(), weights.rows(), weights.cols());
-                    current = hd_quant::QuantizedMatrix::quantize(&real, *out_params);
-                }
-                QuantStage::Lut(lut) => {
-                    let mut data = current.as_slice().to_vec();
-                    lut.apply_slice(&mut data);
-                    cycles += self.array.activation_cycles(data.len());
-                    current = hd_quant::QuantizedMatrix::from_raw(
-                        current.rows(),
-                        current.cols(),
-                        data,
-                        lut.output_params(),
-                    );
-                }
-            }
-        }
-        let output = current.dequantize();
+        // Cycles depend only on layer shapes, so they come from the same
+        // analytic formula the schedule estimates use; the output itself is
+        // computed once the attempt has survived every fault check.
+        let cycles =
+            timing::stage_costs(&self.config, &ModelDims::from_quantized(quantized), samples)
+                .compute_cycles;
 
         let output_bytes = samples * quantized.output_dim();
         let output_transfer_s = self.link.transfer_time_s(output_bytes);
@@ -527,6 +494,7 @@ impl Device {
             });
         }
 
+        let output = quantized.forward(batch)?;
         let stats = InvokeStats {
             samples,
             compute_cycles: cycles,
@@ -669,7 +637,7 @@ mod tests {
     use super::*;
     use crate::timing;
     use hd_tensor::rng::DetRng;
-    use wide_nn::{compile, Activation, ModelBuilder, QuantizedModel, TargetSpec};
+    use wide_nn::{compile, Activation, ModelBuilder, TargetSpec};
 
     fn compiled_model(n: usize, d: usize, k: usize, seed: u64) -> (CompiledModel, Matrix) {
         let mut rng = DetRng::new(seed);
@@ -702,10 +670,10 @@ mod tests {
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
         let (device_out, _) = device.invoke(&calib).unwrap();
-        let ref_out = reference.forward(&calib).unwrap();
         assert_eq!(
-            device_out, ref_out,
-            "device datapath diverged from reference"
+            device_out,
+            crate::systolic::tests::scalar_reference(&reference, &calib),
+            "device datapath diverged from the scalar reference"
         );
     }
 
@@ -1089,7 +1057,7 @@ mod tests {
     #[test]
     fn quantized_model_reference_and_device_agree_on_argmax() {
         let (compiled, calib) = compiled_model(16, 80, 6, 14);
-        let reference: QuantizedModel = compiled.quantized().clone();
+        let reference: wide_nn::QuantizedModel = compiled.quantized().clone();
         let device = Device::new(DeviceConfig::default());
         device.load_model(compiled).unwrap();
         let (out, _) = device.invoke(&calib).unwrap();

@@ -4,9 +4,9 @@
 //! hardware we do not have, so this crate builds the closest synthetic
 //! equivalent from first principles:
 //!
-//! * [`SystolicArray`] — a weight-stationary grid of int8
-//!   multiply-accumulate processing elements with a pipeline fill/drain
-//!   cycle model (the Edge TPU's MXU),
+//! * [`SystolicArray`] — the cycle model of a weight-stationary grid of
+//!   int8 multiply-accumulate processing elements (the Edge TPU's MXU):
+//!   tile counts plus pipeline fill/drain, computed from layer shapes,
 //! * [`UnifiedBuffer`] — the on-chip parameter store that must hold a
 //!   model's weights (8 MiB on the real device),
 //! * [`HostLink`] — a USB-like channel with finite bandwidth and a fixed
@@ -14,9 +14,10 @@
 //! * [`Device`] — the user-facing accelerator: load a compiled model once
 //!   (one-time cost, like the paper's model-preparation phase), then
 //!   invoke it on batches and receive both **functionally exact int8
-//!   outputs** (bit-identical to [`wide_nn::QuantizedModel`]'s reference
-//!   executor — an integration test pins this) and a per-invocation
-//!   [`InvokeStats`] timing breakdown,
+//!   outputs** (computed by [`wide_nn::QuantizedModel`]'s reference
+//!   executor on the shared SIMD int8 kernel, so bit-identical by
+//!   construction) and a per-invocation [`InvokeStats`] timing breakdown.
+//!   The simulator models time only; it has no arithmetic of its own,
 //! * [`timing`] — the shared analytic formulas, usable standalone to
 //!   estimate paper-scale workloads without executing them.
 //!

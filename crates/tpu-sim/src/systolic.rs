@@ -1,7 +1,3 @@
-use hd_quant::{narrow, QuantParams, QuantizedMatrix};
-
-use crate::Result;
-
 /// A weight-stationary systolic array of int8 multiply-accumulate
 /// processing elements.
 ///
@@ -12,9 +8,10 @@ use crate::Result;
 /// `ceil(k / rows) * ceil(n / cols)` tiles; each tile pass streams the full
 /// batch plus a pipeline fill/drain of `rows + cols` cycles.
 ///
-/// Execution here is *functionally exact*: the tiled int8/i32 arithmetic
-/// reproduces [`hd_quant::gemm::matmul_requantized`] bit-for-bit because
-/// i32 accumulation is associative.
+/// The array only models *time*. Cycle counts depend on layer shapes
+/// alone, never on the data, so the device computes every output with the
+/// shared int8 kernel ([`wide_nn::QuantizedModel::run_quantized`]) and
+/// charges these formulas for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystolicArray {
     rows: usize,
@@ -73,86 +70,144 @@ impl SystolicArray {
     pub fn activation_cycles(&self, elements: usize) -> u64 {
         (elements as u64).div_ceil(self.cols as u64)
     }
-
-    /// Executes one fully-connected layer through the tiled datapath,
-    /// returning the requantized output and the cycles consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error (wrapped) if `input.cols() != weights.rows()`.
-    pub fn execute_fc(
-        &self,
-        input: &QuantizedMatrix,
-        weights: &QuantizedMatrix,
-        out_params: QuantParams,
-    ) -> Result<(QuantizedMatrix, u64)> {
-        if input.cols() != weights.rows() {
-            // Same error the reference kernel raises, so the two datapaths
-            // stay interchangeable for callers inspecting the failure.
-            let shape_err = hd_tensor::TensorError::ShapeMismatch {
-                op: "quantized matmul",
-                lhs: input.shape(),
-                rhs: weights.shape(),
-            };
-            return Err(wide_nn::NnError::from(hd_quant::QuantError::from(shape_err)).into());
-        }
-        let (m, k) = input.shape();
-        let n = weights.cols();
-        let za = input.params().zero_point();
-        let zb = weights.params().zero_point();
-        let acc_scale = input.params().scale() * weights.params().scale();
-
-        let mut acc = vec![0i64; m * n];
-        // March the weight tiles exactly as the hardware would: for each
-        // resident tile, pump every input row through it and accumulate the
-        // partial products for the tile's output columns.
-        for tk in 0..self.tiles_k(k) {
-            let k_start = tk * self.rows;
-            let k_end = (k_start + self.rows).min(k);
-            for tn in 0..self.tiles_n(n) {
-                let n_start = tn * self.cols;
-                let n_end = (n_start + self.cols).min(n);
-                for row in 0..m {
-                    let in_row = input.row(row);
-                    let tile_inputs = in_row.iter().enumerate().take(k_end).skip(k_start);
-                    for (p, &iq) in tile_inputs {
-                        let av = i32::from(iq) - za;
-                        if av == 0 {
-                            continue;
-                        }
-                        let w_row = weights.row(p);
-                        let acc_row = &mut acc[row * n + n_start..row * n + n_end];
-                        for (a, &wq) in acc_row.iter_mut().zip(&w_row[n_start..n_end]) {
-                            *a += i64::from(av * (i32::from(wq) - zb));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Saturate rather than truncate when folding the wide tile
-        // accumulator back into the i32 requantization input; the static
-        // range verifier rejects models that could reach this clamp, so
-        // for compiled models the conversion is exact.
-        let data: Vec<i8> = acc
-            .iter()
-            .map(|&v| out_params.requantize_accumulator(narrow::saturate_i64_to_i32(v), acc_scale))
-            .collect();
-        let cycles = self.stream_cycles(m, k, n);
-        Ok((QuantizedMatrix::from_raw(m, n, data, out_params), cycles))
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{Device, DeviceConfig};
+    use hd_quant::QuantizedMatrix;
     use hd_tensor::rng::DetRng;
     use hd_tensor::Matrix;
+    use wide_nn::{compile, Activation, ModelBuilder, QuantStage, QuantizedModel, TargetSpec};
 
-    fn random_quantized(rows: usize, cols: usize, seed: u64) -> QuantizedMatrix {
-        let mut rng = DetRng::new(seed);
-        let m = Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng);
-        QuantizedMatrix::quantize(&m, QuantParams::from_min_max(-1.0, 1.0).unwrap())
+    /// Centred `i64` accumulators `Σ_p (q[i, p] - z) · w(p, j)` of a
+    /// `k x n` weight matrix, row-major.
+    fn centred(
+        q: &QuantizedMatrix,
+        (k, n): (usize, usize),
+        w: impl Fn(usize, usize) -> i64,
+    ) -> Vec<i64> {
+        let z = i64::from(q.params().zero_point());
+        (0..q.rows() * n)
+            .map(|idx| {
+                (0..k)
+                    .map(|p| (i64::from(q.row(idx / n)[p]) - z) * w(p, idx % n))
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// An independent scalar model of the int8 datapath: centred products
+    /// accumulated in `i64`, no shared GEMM kernel.
+    pub(crate) fn scalar_reference(model: &QuantizedModel, batch: &Matrix) -> Matrix {
+        let mut current = model.quantize_input(batch).unwrap();
+        for stage in model.stages() {
+            let m = current.rows();
+            current = match stage {
+                QuantStage::FullyConnected {
+                    weights,
+                    out_params,
+                } => {
+                    let zb = i64::from(weights.params().zero_point());
+                    let scale = current.params().scale() * weights.params().scale();
+                    let w = |p: usize, j: usize| i64::from(weights.row(p)[j]) - zb;
+                    let data = centred(&current, weights.shape(), w)
+                        .into_iter()
+                        .map(|acc| {
+                            out_params.requantize_accumulator(i32::try_from(acc).unwrap(), scale)
+                        })
+                        .collect();
+                    QuantizedMatrix::from_raw(m, weights.cols(), data, *out_params)
+                }
+                QuantStage::FullyConnectedPerChannel {
+                    weights,
+                    out_params,
+                } => {
+                    let (sa, n) = (current.params().scale(), weights.cols());
+                    let w = |p: usize, j: usize| i64::from(weights.row(p)[j]);
+                    let acc = centred(&current, (weights.rows(), n), w);
+                    let real = acc.iter().enumerate();
+                    let real = real.map(|(idx, &a)| sa * weights.scales()[idx % n] * a as f32);
+                    QuantizedMatrix::quantize(
+                        &Matrix::from_vec(m, n, real.collect()).unwrap(),
+                        *out_params,
+                    )
+                }
+                QuantStage::Lut(lut) => {
+                    let mut data = current.as_slice().to_vec();
+                    lut.apply_slice(&mut data);
+                    QuantizedMatrix::from_raw(m, current.cols(), data, lut.output_params())
+                }
+            };
+        }
+        current.dequantize()
+    }
+
+    /// Runs an `n -> d -> k` tanh network through a device with an
+    /// `edge x edge` array, per-tensor and per-channel, on inputs shifted
+    /// off zero so the activations carry nonzero zero points. The output
+    /// must equal the scalar reference bit for bit, and the cycles must
+    /// equal the tile-pass formula computed here by hand.
+    fn check_device_datapath((n, d, k): (usize, usize, usize), batch: usize, edge: usize) {
+        let mut rng = DetRng::new(40);
+        let model = ModelBuilder::new(n)
+            .fully_connected(Matrix::random_normal(n, d, &mut rng))
+            .unwrap()
+            .activation(Activation::Tanh)
+            .fully_connected(Matrix::random_normal(d, k, &mut rng))
+            .unwrap()
+            .build()
+            .unwrap();
+        let shifted = |rows: usize, rng: &mut DetRng| {
+            Matrix::random_normal(rows, n, rng).map(|v| 0.05 * v + 0.02)
+        };
+        let (calib, inputs) = (shifted(24, &mut rng), shifted(batch, &mut rng));
+        let target = TargetSpec::new("test-array", edge, edge, 1 << 20);
+        let cfg = DeviceConfig {
+            target: target.clone(),
+            ..DeviceConfig::default()
+        };
+        let compilers: [fn(&_, &_, &_) -> _; 2] = [compile::compile, compile::compile_per_channel];
+        for (per_channel, compile_with) in compilers.into_iter().enumerate() {
+            let compiled = compile_with(&model, &calib, &target).unwrap();
+            let q = compiled.quantized().clone();
+            let QuantStage::Lut(hidden) = &q.stages()[1] else {
+                panic!("expected the tanh stage");
+            };
+            assert_ne!(q.input_params().zero_point(), 0, "input zero point");
+            assert_ne!(hidden.output_params().zero_point(), 0, "hidden zero point");
+
+            let device = Device::new(cfg.clone());
+            device.load_model(compiled).unwrap();
+            let (out, stats) = device.invoke(&inputs).unwrap();
+            assert_eq!(
+                out,
+                scalar_reference(&q, &inputs),
+                "per_channel={per_channel}"
+            );
+            // Tile passes of (batch + fill + drain) per layer, plus the
+            // activation unit `edge` lanes wide.
+            let tiles = |k: usize, n: usize| (k.div_ceil(edge) * n.div_ceil(edge)) as u64;
+            let pass = (batch + 2 * edge) as u64;
+            let lut = ((batch * d) as u64).div_ceil(edge as u64);
+            assert_eq!(
+                stats.compute_cycles,
+                (tiles(n, d) + tiles(d, k)) * pass + lut
+            );
+        }
+    }
+
+    #[test]
+    fn tiled_execution_matches_reference_kernel_bit_exact() {
+        // A 16x16 array makes every layer multi-tile with ragged tails:
+        // 130 = 8*16 + 2 inputs, 200 = 12*16 + 8 hidden, 7 outputs.
+        check_device_datapath((130, 200, 7), 37, 16);
+    }
+
+    #[test]
+    fn single_tile_execution_matches_reference() {
+        check_device_datapath((10, 48, 5), 3, 64);
     }
 
     #[test]
@@ -185,39 +240,6 @@ mod tests {
         assert_eq!(a.activation_cycles(1), 1);
         assert_eq!(a.activation_cycles(64), 1);
         assert_eq!(a.activation_cycles(65), 2);
-    }
-
-    #[test]
-    fn tiled_execution_matches_reference_kernel_bit_exact() {
-        let array = SystolicArray::new(16, 16); // force multi-tile
-        let input = random_quantized(5, 50, 1);
-        let weights = random_quantized(50, 37, 2);
-        let out_params = QuantParams::from_min_max(-8.0, 8.0).unwrap();
-
-        let (tiled, cycles) = array.execute_fc(&input, &weights, out_params).unwrap();
-        let reference = hd_quant::gemm::matmul_requantized(&input, &weights, out_params).unwrap();
-        assert_eq!(tiled, reference, "tiled datapath diverged from reference");
-        assert_eq!(cycles, array.stream_cycles(5, 50, 37));
-    }
-
-    #[test]
-    fn single_tile_execution_matches_reference() {
-        let array = SystolicArray::new(64, 64);
-        let input = random_quantized(3, 10, 3);
-        let weights = random_quantized(10, 8, 4);
-        let out_params = QuantParams::from_min_max(-4.0, 4.0).unwrap();
-        let (tiled, _) = array.execute_fc(&input, &weights, out_params).unwrap();
-        let reference = hd_quant::gemm::matmul_requantized(&input, &weights, out_params).unwrap();
-        assert_eq!(tiled, reference);
-    }
-
-    #[test]
-    fn shape_mismatch_rejected() {
-        let array = SystolicArray::new(8, 8);
-        let input = random_quantized(2, 5, 5);
-        let weights = random_quantized(6, 4, 6);
-        let out_params = QuantParams::from_min_max(-1.0, 1.0).unwrap();
-        assert!(array.execute_fc(&input, &weights, out_params).is_err());
     }
 
     #[test]

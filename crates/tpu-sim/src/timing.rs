@@ -5,12 +5,13 @@
 //! but the *runtime* figures (paper Figs. 5, 6, 8, 9, 10 and Table II) are
 //! computed from these closed-form models at the paper's full scale — the
 //! same separation the paper itself relies on when normalizing runtimes.
-//! [`Device::invoke`](crate::Device::invoke) charges exactly these
-//! formulas, and a unit test pins the two paths to equality.
+//! [`Device::invoke`](crate::Device::invoke) takes its compute cycles
+//! from [`stage_costs`], so the device and the estimates agree by
+//! construction; a unit test still pins the two paths to equality.
 
 use serde::{Deserialize, Serialize};
 
-use wide_nn::{CompiledModel, Model, QuantizedModel};
+use wide_nn::{CompiledModel, QuantizedModel};
 
 use crate::config::DeviceConfig;
 use crate::systolic::SystolicArray;
@@ -52,29 +53,6 @@ impl ModelDims {
         }
     }
 
-    /// Extracts dimensions from a float model.
-    #[must_use]
-    pub fn from_model(model: &Model) -> Self {
-        let mut dims = ModelDims {
-            input_dim: model.input_dim(),
-            fc_layers: Vec::new(),
-            lut_widths: Vec::new(),
-            output_dim: model.output_dim(),
-        };
-        let mut width = model.input_dim();
-        for layer in model.layers() {
-            match layer {
-                wide_nn::Layer::FullyConnected { weights } => {
-                    dims.fc_layers.push((weights.rows(), weights.cols()));
-                    width = weights.cols();
-                }
-                wide_nn::Layer::Activation(_) => dims.lut_widths.push(width),
-                wide_nn::Layer::Elementwise { .. } => {}
-            }
-        }
-        dims
-    }
-
     /// Extracts dimensions from a quantized model.
     #[must_use]
     pub fn from_quantized(model: &QuantizedModel) -> Self {
@@ -101,30 +79,10 @@ impl ModelDims {
         dims
     }
 
-    /// Extracts dimensions from a compiled model.
+    /// Extracts dimensions from a compiled model (its quantized stages).
     #[must_use]
     pub fn from_compiled(compiled: &CompiledModel) -> Self {
-        let mut dims = ModelDims {
-            input_dim: compiled.input_dim(),
-            fc_layers: Vec::new(),
-            lut_widths: Vec::new(),
-            output_dim: compiled.output_dim(),
-        };
-        let mut width = compiled.input_dim();
-        for stage in compiled.quantized().stages() {
-            match stage {
-                wide_nn::QuantStage::FullyConnected { weights, .. } => {
-                    dims.fc_layers.push(weights.shape());
-                    width = weights.cols();
-                }
-                wide_nn::QuantStage::FullyConnectedPerChannel { weights, .. } => {
-                    dims.fc_layers.push((weights.rows(), weights.cols()));
-                    width = weights.cols();
-                }
-                wide_nn::QuantStage::Lut(_) => dims.lut_widths.push(width),
-            }
-        }
-        dims
+        Self::from_quantized(compiled.quantized())
     }
 
     /// Total quantized parameter bytes (weights plus 256-byte LUTs).
