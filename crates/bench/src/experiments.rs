@@ -968,11 +968,14 @@ fn i8_vec(rng: &mut DetRng, n: usize) -> Vec<i8> {
 ///    width (`d` = 7680, 26 ISOLET classes);
 /// 2. `i8` GEMM — the runtime-dispatched kernel
 ///    ([`hd_tensor::gemm::matmul_i8_i32`], AVX2 where the host has it)
-///    vs the naive triple loop, at the encode shape (features × `d`);
+///    vs the naive triple loop, at a wide encode shape (features × `d`)
+///    and at the two serve-path shapes ([`SERVE_ENCODE_SHAPE`] and the
+///    narrow [`SERVE_SCORE_SHAPE`]);
 /// 3. majority bundling — vertical bit-sliced counters
 ///    ([`hd_tensor::packed::majority_bundle`]) over 33 packed vectors.
 ///
-/// All numbers are best-of-3 wall-clock on the current host — no
+/// All numbers are best-of-3 wall-clock on the current host (best-of-20
+/// for the dispatched kernel on the sub-millisecond serve shapes) — no
 /// simulated clocks are involved, so this is the one figure whose
 /// absolute values vary by machine (CI gates the *ratios*, which are
 /// representation properties, with generous margins).
@@ -1037,24 +1040,18 @@ pub fn fig_kernels_report() -> (ResultTable, crate::report::KernelsBenchReport) 
     let packed_speedup = scalar_score_s / packed_score_s;
 
     // --- 2. dispatched vs naive i8 GEMM -------------------------------
-    let a_i8 = i8_vec(&mut rng, gemm_m * gemm_k);
-    let b_i8 = i8_vec(&mut rng, gemm_k * gemm_n);
-    let (simd_gemm_s, simd_out) = best_of(3, || {
-        gemm::matmul_i8_i32(&a_i8, &b_i8, gemm_m, gemm_k, gemm_n).expect("gemm shapes agree")
-    });
-    let (naive_gemm_s, naive_out) = best_of(3, || {
-        gemm::matmul_i8_i32_reference(&a_i8, &b_i8, gemm_m, gemm_k, gemm_n)
-            .expect("gemm shapes agree")
-    });
-    assert_eq!(
-        simd_out, naive_out,
-        "dispatched i8 GEMM must be bit-exact with the naive reference"
-    );
+    let wide = time_i8_gemm(&mut rng, (gemm_m, gemm_k, gemm_n), 0, 3);
+    let (simd_gemm_s, naive_gemm_s) = (wide.fast_s, wide.naive_s);
     let gemm_ops = 2.0 * gemm_m as f64 * gemm_k as f64 * gemm_n as f64;
     let simd_gemm_gops = gemm_ops / simd_gemm_s / 1e9;
     let naive_gemm_gops = gemm_ops / naive_gemm_s / 1e9;
     let gemm_speedup = naive_gemm_s / simd_gemm_s;
     let i8_kernel = hd_tensor::kernels::i8_gemm_kernel_name().to_string();
+    // The two serve-path shapes, at every scale: one 16-row chunk through
+    // the encoder (617 isolet features x d = 2048) and through the
+    // 26-class scorer, with a nonzero input zero point as in serving.
+    let encode = time_i8_gemm(&mut rng, SERVE_ENCODE_SHAPE, 3, 20);
+    let score = time_i8_gemm(&mut rng, SERVE_SCORE_SHAPE, -7, 20);
 
     // --- 3. vertical-counter majority bundling ------------------------
     let members: Vec<PackedBipolar> = (0..bundle_vectors)
@@ -1087,6 +1084,17 @@ pub fn fig_kernels_report() -> (ResultTable, crate::report::KernelsBenchReport) 
         crate::fmt_secs(simd_gemm_s),
         fmt_speedup(gemm_speedup),
     ]);
+    for (label, (m, k, n), timing) in [
+        ("serve encode", SERVE_ENCODE_SHAPE, &encode),
+        ("serve score", SERVE_SCORE_SHAPE, &score),
+    ] {
+        t.push_row(vec![
+            format!("i8 gemm {m}x{k}x{n} {label} ({i8_kernel})"),
+            crate::fmt_secs(timing.naive_s),
+            crate::fmt_secs(timing.fast_s),
+            fmt_speedup(timing.speedup()),
+        ]);
+    }
     t.push_row(vec![
         format!("majority bundle ({bundle_vectors} vectors, d={dim})"),
         format!("{:.3} GiB/s", bundle_gib_s),
@@ -1110,12 +1118,70 @@ pub fn fig_kernels_report() -> (ResultTable, crate::report::KernelsBenchReport) 
         naive_gemm_gops,
         gemm_speedup,
         i8_kernel,
+        encode_gemm_s: encode.fast_s,
+        encode_naive_s: encode.naive_s,
+        encode_speedup: encode.speedup(),
+        score_gemm_s: score.fast_s,
+        score_naive_s: score.naive_s,
+        score_speedup: score.speedup(),
         bundle_vectors,
         bundle_s,
         bundle_gib_s,
         smoke,
+        nproc: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        git_describe: crate::report::git_describe(),
     };
     (t, report)
+}
+
+/// `(m, k, n)` of one serve encode chunk: 16 rows of 617 isolet features
+/// through the `d` = 2048 base.
+pub const SERVE_ENCODE_SHAPE: (usize, usize, usize) = (16, 617, 2048);
+
+/// `(m, k, n)` of one serve score chunk: 16 encoded rows against 26
+/// class hypervectors.
+pub const SERVE_SCORE_SHAPE: (usize, usize, usize) = (16, 2048, 26);
+
+/// Wall-clock of one `i8` GEMM shape on the dispatched kernel and on the
+/// naive reference.
+struct I8GemmTiming {
+    fast_s: f64,
+    naive_s: f64,
+}
+
+impl I8GemmTiming {
+    fn speedup(&self) -> f64 {
+        self.naive_s / self.fast_s
+    }
+}
+
+/// Times the dispatched `i8` GEMM (best of `reps`) and the naive
+/// reference (best of 3) on random operands of `shape` with input zero
+/// point `za`, after pinning the two bit-exact.
+///
+/// # Panics
+///
+/// Panics if the dispatched kernel disagrees with the reference.
+fn time_i8_gemm(
+    rng: &mut DetRng,
+    (m, k, n): (usize, usize, usize),
+    za: i8,
+    reps: usize,
+) -> I8GemmTiming {
+    use hd_tensor::gemm;
+    let a = i8_vec(rng, m * k);
+    let b = i8_vec(rng, k * n);
+    let (fast_s, fast) = best_of(reps, || {
+        gemm::matmul_i8_i32(&a, &b, m, k, n, za).expect("gemm shapes agree")
+    });
+    let (naive_s, naive) = best_of(3, || {
+        gemm::matmul_i8_i32_reference(&a, &b, m, k, n, za).expect("gemm shapes agree")
+    });
+    assert_eq!(
+        fast, naive,
+        "dispatched i8 GEMM must be bit-exact with the naive reference ({m}x{k}x{n})"
+    );
+    I8GemmTiming { fast_s, naive_s }
 }
 
 /// `fig_kernels`: the table half of [`fig_kernels_report`].

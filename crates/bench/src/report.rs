@@ -209,6 +209,23 @@ pub struct KernelsBenchReport {
     pub gemm_speedup: f64,
     /// The `i8` GEMM kernel the dispatcher selected ("avx2"/"portable").
     pub i8_kernel: String,
+    /// Best-of-20 wall-clock seconds for the dispatched `i8` GEMM on one
+    /// serve encode chunk (`experiments::SERVE_ENCODE_SHAPE`).
+    pub encode_gemm_s: f64,
+    /// Best-of-3 wall-clock seconds for the naive reference on the same
+    /// encode chunk.
+    pub encode_naive_s: f64,
+    /// `encode_naive_s / encode_gemm_s`.
+    pub encode_speedup: f64,
+    /// Best-of-20 wall-clock seconds for the dispatched `i8` GEMM on one
+    /// serve score chunk (`experiments::SERVE_SCORE_SHAPE`, the narrow
+    /// `n` = 26 shape).
+    pub score_gemm_s: f64,
+    /// Best-of-3 wall-clock seconds for the naive reference on the same
+    /// score chunk.
+    pub score_naive_s: f64,
+    /// `score_naive_s / score_gemm_s`: the narrow-shape ratio.
+    pub score_speedup: f64,
     /// Vectors per majority bundle.
     pub bundle_vectors: usize,
     /// Best-of-3 wall-clock seconds for one vertical-counter majority
@@ -218,15 +235,27 @@ pub struct KernelsBenchReport {
     pub bundle_gib_s: f64,
     /// Whether the run was at `HD_BENCH_SMOKE` scale.
     pub smoke: bool,
+    /// Hardware threads of the measuring host.
+    pub nproc: usize,
+    /// `git describe --always --dirty` of the measured tree (see
+    /// [`git_describe`]).
+    pub git_describe: Option<String>,
 }
 
 impl KernelsBenchReport {
     /// Renders the flat JSON form (same conventions as
-    /// [`PipelineBenchReport::to_json`]: one key per line, no serde).
+    /// [`PipelineBenchReport::to_json`]: one key per line, no serde),
+    /// stamped with the measured tree's revision and the host's `nproc`.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let git_describe = self.git_describe.as_ref().map_or_else(
+            || String::from("null"),
+            |rev| format!("\"{}\"", rev.escape_debug()),
+        );
         format!(
-            "{{\n  \"bench\": \"kernels\",\n  \"git_describe\": null,\n  \"smoke\": {},\n  \"dim\": {},\n  \"rows\": {},\n  \"classes\": {},\n  \"packed_score_s\": {:.12},\n  \"scalar_score_s\": {:.12},\n  \"packed_speedup\": {:.3},\n  \"gemm_m\": {},\n  \"gemm_k\": {},\n  \"gemm_n\": {},\n  \"simd_gemm_s\": {:.12},\n  \"naive_gemm_s\": {:.12},\n  \"simd_gemm_gops\": {:.3},\n  \"naive_gemm_gops\": {:.3},\n  \"gemm_speedup\": {:.3},\n  \"i8_kernel\": \"{}\",\n  \"bundle_vectors\": {},\n  \"bundle_s\": {:.12},\n  \"bundle_gib_s\": {:.3}\n}}\n",
+            "{{\n  \"bench\": \"kernels\",\n  \"git_describe\": {},\n  \"nproc\": {},\n  \"smoke\": {},\n  \"dim\": {},\n  \"rows\": {},\n  \"classes\": {},\n  \"packed_score_s\": {:.12},\n  \"scalar_score_s\": {:.12},\n  \"packed_speedup\": {:.3},\n  \"gemm_m\": {},\n  \"gemm_k\": {},\n  \"gemm_n\": {},\n  \"simd_gemm_s\": {:.12},\n  \"naive_gemm_s\": {:.12},\n  \"simd_gemm_gops\": {:.3},\n  \"naive_gemm_gops\": {:.3},\n  \"gemm_speedup\": {:.3},\n  \"i8_kernel\": \"{}\",\n  \"encode_gemm_s\": {:.12},\n  \"encode_naive_s\": {:.12},\n  \"encode_speedup\": {:.3},\n  \"score_gemm_s\": {:.12},\n  \"score_naive_s\": {:.12},\n  \"score_speedup\": {:.3},\n  \"bundle_vectors\": {},\n  \"bundle_s\": {:.12},\n  \"bundle_gib_s\": {:.3}\n}}\n",
+            git_describe,
+            self.nproc,
             self.smoke,
             self.dim,
             self.rows,
@@ -243,11 +272,37 @@ impl KernelsBenchReport {
             self.naive_gemm_gops,
             self.gemm_speedup,
             self.i8_kernel,
+            self.encode_gemm_s,
+            self.encode_naive_s,
+            self.encode_speedup,
+            self.score_gemm_s,
+            self.score_naive_s,
+            self.score_speedup,
             self.bundle_vectors,
             self.bundle_s,
             self.bundle_gib_s,
         )
     }
+}
+
+/// `git describe --always --dirty` of the repository this crate was
+/// built from, or `None` when that directory is not a git checkout or
+/// git cannot be run. The `.git` check keeps an enclosing repository's
+/// revision out of a copied tree.
+#[must_use]
+pub fn git_describe() -> Option<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    if !root.join(".git").exists() {
+        return None;
+    }
+    let out = std::process::Command::new("git")
+        .arg("-C")
+        .arg(&root)
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()?;
+    let rev = String::from_utf8(out.stdout).ok()?.trim().to_string();
+    (out.status.success() && !rev.is_empty()).then_some(rev)
 }
 
 /// Repository-root path of the `BENCH_<name>.json` artifact.
@@ -360,16 +415,26 @@ mod tests {
             naive_gemm_gops: 10.0,
             gemm_speedup: 10.0,
             i8_kernel: "avx2".to_string(),
+            encode_gemm_s: 0.001,
+            encode_naive_s: 0.02,
+            encode_speedup: 20.0,
+            score_gemm_s: 0.0001,
+            score_naive_s: 0.001,
+            score_speedup: 10.0,
             bundle_vectors: 33,
             bundle_s: 0.0001,
             bundle_gib_s: 3.0,
             smoke: true,
+            nproc: 2,
+            git_describe: Some("b4a61da-dirty".to_string()),
         }
         .to_json();
         for key in [
             "\"bench\": \"kernels\"",
-            "\"git_describe\": null",
+            "\"git_describe\": \"b4a61da-dirty\"",
+            "\"nproc\": 2",
             "\"smoke\": true",
+            "\"score_speedup\": 10.000",
             "\"packed_speedup\": 20.000",
             "\"gemm_speedup\": 10.000",
             "\"i8_kernel\": \"avx2\"",
@@ -377,7 +442,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing `{key}` in\n{json}");
         }
-        assert_eq!(json.lines().count(), 23);
+        assert_eq!(json.lines().count(), 30);
     }
 
     #[test]

@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use hd_quant::lut::ActivationLut;
@@ -312,9 +314,9 @@ impl QuantizedModel {
     ///
     /// Propagates shape errors from the quantized kernels.
     pub fn run_quantized(&self, input: &QuantizedMatrix) -> Result<QuantizedMatrix> {
-        let mut current = input.clone();
+        let mut current = Cow::Borrowed(input);
         for stage in &self.stages {
-            current = match stage {
+            current = Cow::Owned(match stage {
                 QuantStage::FullyConnected {
                     weights,
                     out_params,
@@ -336,9 +338,9 @@ impl QuantizedModel {
                         lut.output_params(),
                     )
                 }
-            };
+            });
         }
-        Ok(current)
+        Ok(current.into_owned())
     }
 
     /// Full reference path: quantize `f32` inputs, run int8, dequantize

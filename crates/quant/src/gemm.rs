@@ -20,13 +20,15 @@
 //! `(q - z)` lies in `[-255, 255]` and each centred product in
 //! `[-255², 255²]`. The result is therefore exact in `i32` for any
 //! operands and zero points while `k * 255² <= 2^31 - 1`, i.e.
-//! `k <= 33_025` ([`MAX_DEPTH`]). The kernel never forms that sum
-//! directly; it computes the raw `Σ qa·qb` and subtracts the zero-point
-//! corrections (see [`matmul_accumulate`]), and at that depth every
-//! intermediate stays inside `i32` as well (the largest,
-//! `Σ (qa - za)·qb - zb·Σ qa`, is at most `k * 48_896`), so debug builds
-//! with overflow checks pass at the bound. `wide_nn::compile` rejects
-//! any fully-connected stage deeper than [`MAX_DEPTH`].
+//! `k <= 33_025` ([`MAX_DEPTH`]). The kernel folds the activation zero
+//! point into its broadcast operand and returns `Σ (qa - za)·qb`, whose
+//! products are at most `255 · 128 = 32_640` in magnitude, so that
+//! intermediate is bounded by `k * 32_640`; the weight zero point then
+//! costs one row correction `zb · Σ (qa - za)`, bounded by the same
+//! `k * 32_640` (see [`matmul_accumulate`]). At [`MAX_DEPTH`] every
+//! intermediate stays inside `i32`, so debug builds with overflow checks
+//! pass at the bound. `wide_nn::compile` rejects any fully-connected
+//! stage deeper than [`MAX_DEPTH`].
 
 use hd_tensor::{Matrix, TensorError};
 
@@ -68,42 +70,28 @@ pub fn matmul_accumulate(a: &QuantizedMatrix, b: &QuantizedMatrix) -> Result<(Ve
     let za = a.params().zero_point();
     let zb = b.params().zero_point();
 
-    // Raw q·q product through the SIMD-dispatched int8 kernel, then the
-    // zero-point decomposition
+    // The SIMD-dispatched kernel centres `a` itself and returns
+    // `Σ_p (qa - za) qb`; the weight zero point is one row correction,
     //
     // ```text
-    // sum_p (qa - za)(qb - zb)
-    //   = sum_p qa qb - za * colsum_b[j] - zb * rowsum_a[i] + k za zb
+    // sum_p (qa - za)(qb - zb) = sum_p (qa - za) qb - zb * sum_p (qa - za)
     // ```
     //
-    // which is exact integer arithmetic, every intermediate included,
-    // for `k <= MAX_DEPTH` (see the module docs).
-    let mut acc = hd_tensor::gemm::matmul_i8_i32(a.as_slice(), b.as_slice(), m, k, n)?;
-
-    if za != 0 || zb != 0 {
-        let col_sums = column_sums(b.as_slice(), n);
-        let row_sums = (0..m).map(|i| a.row(i).iter().map(|&aq| i32::from(aq)).sum::<i32>());
-        let k_za_zb = crate::narrow::saturate_i64_to_i32(i64::from(za) * i64::from(zb) * k as i64);
-        for (out_row, rs) in acc.chunks_mut(n.max(1)).zip(row_sums) {
-            let row_corr = zb * rs;
-            for (o, &cs) in out_row.iter_mut().zip(&col_sums) {
-                *o = *o - za * cs - row_corr + k_za_zb;
+    // exact integer arithmetic, every intermediate included, for
+    // `k <= MAX_DEPTH` (see the module docs). Narrowing `za` is exact:
+    // `QuantParams` keeps zero points in the i8 range.
+    let za_i8 = crate::narrow::saturate_i32_to_i8(za);
+    let mut acc = hd_tensor::gemm::matmul_i8_i32(a.as_slice(), b.as_slice(), m, k, n, za_i8)?;
+    if zb != 0 {
+        for (i, out_row) in acc.chunks_mut(n.max(1)).enumerate() {
+            let centred_sum: i32 = a.row(i).iter().map(|&q| i32::from(q) - za).sum();
+            let row_corr = zb * centred_sum;
+            for o in out_row {
+                *o -= row_corr;
             }
         }
     }
     Ok((acc, a.params().scale() * b.params().scale()))
-}
-
-/// Per-column sums of a row-major int8 matrix `n` columns wide: the
-/// `Σ_p qb[p, j]` term of the zero-point decomposition.
-pub(crate) fn column_sums(data: &[i8], n: usize) -> Vec<i32> {
-    let mut sums = vec![0i32; n];
-    for row in data.chunks(n.max(1)) {
-        for (sum, &q) in sums.iter_mut().zip(row) {
-            *sum += i32::from(q);
-        }
-    }
-    sums
 }
 
 /// Multiplies two quantized matrices and dequantizes the result to `f32`.
@@ -274,10 +262,14 @@ mod tests {
 
     /// Every intermediate of the zero-point decomposition must stay inside
     /// `i32` at `MAX_DEPTH` (the test profile checks overflow), and the
-    /// result must equal the exact `i64` sum.
+    /// result must equal the exact `i64` sum. The four corners put each
+    /// centred factor at ±255; the folded kernel's own intermediate
+    /// `Σ (qa - za)·qb` and the row correction `zb·Σ (qa - za)` are pinned
+    /// too, and together reach the stated `k * 32_640` bound.
     #[test]
     fn accumulator_is_exact_at_max_depth_with_extreme_operands() {
         let k = MAX_DEPTH;
+        let mut largest_intermediate = 0i64;
         for (qa, za, qb, zb) in [
             (-128i8, 127, 127i8, -128),
             (127, -128, 127, -128),
@@ -288,11 +280,27 @@ mod tests {
             let pb = QuantParams::from_raw(0.01, zb).unwrap();
             let a = QuantizedMatrix::from_raw(2, k, vec![qa; 2 * k], pa);
             let b = QuantizedMatrix::from_raw(k, 3, vec![qb; 3 * k], pb);
-            let centred = (i64::from(qa) - i64::from(za)) * (i64::from(qb) - i64::from(zb));
+            let centred_a = i64::from(qa) - i64::from(za);
+            let centred = centred_a * (i64::from(qb) - i64::from(zb));
             assert_eq!(centred.abs(), 255 * 255);
             let exact = i32::try_from(k as i64 * centred).unwrap();
             assert_eq!(matmul_accumulate(&a, &b).unwrap().0, vec![exact; 6]);
+
+            // The folded kernel's output and the row correction, each
+            // exact in i32 and within k * 32_640.
+            let folded = k as i64 * centred_a * i64::from(qb);
+            let za_i8 = i8::try_from(za).unwrap();
+            let kernel =
+                hd_tensor::gemm::matmul_i8_i32(a.as_slice(), b.as_slice(), 2, k, 3, za_i8).unwrap();
+            assert_eq!(kernel, vec![i32::try_from(folded).unwrap(); 6]);
+            let correction = i64::from(zb) * k as i64 * centred_a;
+            assert_eq!(folded - correction, k as i64 * centred);
+            for term in [folded, correction] {
+                assert!(term.abs() <= k as i64 * 32_640);
+                largest_intermediate = largest_intermediate.max(term.abs());
+            }
         }
+        assert_eq!(largest_intermediate, k as i64 * 32_640);
     }
 
     #[test]

@@ -145,21 +145,14 @@ impl ChannelQuantizedMatrix {
             .into());
         }
         let m = a.rows();
-        let za = a.params().zero_point();
         let sa = a.params().scale();
-        // The weights' zero point is 0, so the centred product needs only
-        // the activation correction: Σ (qa - za) w = Σ qa w - za Σ w. The
-        // same i32 contract as `gemm::matmul_accumulate` applies.
-        let mut acc =
-            hd_tensor::gemm::matmul_i8_i32(a.as_slice(), &self.data, m, self.rows, self.cols)?;
-        if za != 0 {
-            let col_sums = crate::gemm::column_sums(&self.data, self.cols);
-            for out_row in acc.chunks_mut(self.cols.max(1)) {
-                for (o, &cs) in out_row.iter_mut().zip(&col_sums) {
-                    *o -= za * cs;
-                }
-            }
-        }
+        // The weights' zero point is 0 and the kernel centres the
+        // activations itself, so its `Σ (qa - za) w` is already the
+        // centred product. The same i32 contract as
+        // `gemm::matmul_accumulate` applies.
+        let za = crate::narrow::saturate_i32_to_i8(a.params().zero_point());
+        let acc =
+            hd_tensor::gemm::matmul_i8_i32(a.as_slice(), &self.data, m, self.rows, self.cols, za)?;
         let data: Vec<f32> = acc
             .iter()
             .enumerate()

@@ -3,16 +3,23 @@
 //! HDC encoding is "indeed a vector–matrix multiplication that is ready to
 //! accelerate on most hardware accelerators" (paper, Section III-A); on the
 //! host CPU baseline it is a plain SGEMM. This module provides a cache
-//! blocked kernel plus a row-parallel driver — a two-stage SDF schedule
-//! (plan → rows) executed through the generic runtime in
-//! [`hd_dataflow::runtime`] — so that the *functional* parts of the
-//! experiments (accuracy measurements) finish in reasonable wall-clock
-//! time. The *analytic* runtime models in the `cpu-model` and `tpu-sim`
-//! crates are what reproduce the paper's timing figures; this kernel's
-//! real speed is never reported as an experiment result.
+//! blocked `f32` kernel, the `i8 x i8 -> i32` kernel behind every int8
+//! product in the workspace (the quantized executor and the simulated
+//! device compute through it), and a row-parallel driver — a two-stage
+//! SDF schedule (plan → rows) executed through the generic runtime in
+//! [`hd_dataflow::runtime`].
+//!
+//! Two kinds of time are reported for this work, and they are kept
+//! apart. The *analytic* runtime models in the `cpu-model` and `tpu-sim`
+//! crates reproduce the paper's timing figures as simulated seconds and
+//! never look at this kernel's speed. Its real wall-clock speed is
+//! measured by `fig_kernels` (`BENCH_kernels.json`) per kernel and shape,
+//! and by the end-to-end benchmark (`e2e-bench`), whose train and serve
+//! wall times are dominated by it.
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire};
 use hd_dataflow::{Resource, SdfGraph};
@@ -140,20 +147,23 @@ pub fn set_thread_cap(threads: usize) {
 /// The worker-thread budget currently in effect: hardware parallelism,
 /// clamped by [`set_thread_cap`] and by the `HD_THREADS` environment
 /// variable (when set to a positive integer).
+///
+/// The hardware count and `HD_THREADS` are read once per process:
+/// `available_parallelism` reads cgroup files, which costs more than a
+/// small GEMM, and every GEMM call asks for the budget.
 pub fn available_threads() -> usize {
-    let mut threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    static STARTUP_BUDGET: OnceLock<usize> = OnceLock::new();
+    let mut threads = *STARTUP_BUDGET.get_or_init(|| {
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        std::env::var("HD_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .map_or(hardware, |env_cap| hardware.min(env_cap))
+    });
     let cap = THREAD_CAP.load(Ordering::Relaxed);
     if cap > 0 {
         threads = threads.min(cap);
-    }
-    if let Some(env_cap) = std::env::var("HD_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-    {
-        threads = threads.min(env_cap);
     }
     threads.max(1)
 }
@@ -284,28 +294,33 @@ pub(crate) fn selected_i8_kernel() -> &'static str {
     }
 }
 
-/// Blocked `i8 x i8 -> i32` GEMM: multiplies row-major `a (m x k)` by
-/// `b (k x n)`, returning the `m x n` accumulator matrix as a flat
-/// vector.
+/// Blocked `i8 x i8 -> i32` GEMM with the left operand's zero point
+/// folded in: multiplies row-major `a (m x k)`, centred by `za`, by
+/// `b (k x n)` and returns the `m x n` matrix
+/// `out[i,j] = Σ_p (a[i,p] - za) · b[p,j]` as a flat vector. `za = 0`
+/// gives the raw product.
 ///
 /// Dispatches to a runtime-detected AVX2 kernel when permitted (see
 /// [`crate::kernels::set_simd_enabled`] and the `HD_NO_SIMD` variable)
-/// and to a portable chunked kernel otherwise; both are bit-exact with
+/// and to a portable kernel otherwise; both are bit-exact with
 /// [`matmul_i8_i32_reference`]. Large products split into row bands
 /// across worker threads under the same [`set_thread_cap`] /
 /// `HD_THREADS` budget as the `f32` kernel.
 ///
-/// The caller owns overflow. Every product lies in `[-16256, 16384]`
-/// (`-128 * -128` is the extreme), so the `i32` accumulator is exact for
-/// any operands while `k * 2^14 <= 2^31 - 1`, i.e. `k <= 131_071`.
-/// Callers that subtract zero points (`hd_quant::gemm`) need a tighter
-/// depth bound, which they state and enforce themselves.
+/// The caller owns overflow. A centred factor `a - za` lies in
+/// `[-255, 255]`, so every product lies in `[-32_640, 32_640]`
+/// (`255 · 128`) and the `i32` result is exact for any operands and
+/// zero point while `k * 32_640 <= 2^31 - 1`, i.e. `k <= 65_793`. With
+/// `za = 0` every product lies in `[-16_256, 16_384]` and the bound
+/// relaxes to `k <= 131_071`. Callers that also centre `b`
+/// (`hd_quant::gemm`) need a tighter depth bound, which they state and
+/// enforce themselves.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::LengthMismatch`] when a slice length does not
 /// match its declared shape.
-pub fn matmul_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<Vec<i32>> {
+pub fn matmul_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, za: i8) -> Result<Vec<i32>> {
     check_i8_shapes(a, b, m, k, n)?;
     let mut out = vec![0i32; m.saturating_mul(n)];
     let use_simd = i8_simd_selected();
@@ -314,17 +329,19 @@ pub fn matmul_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result
     } else {
         crate::kernels::note_portable_gemm();
     }
+    let shape = I8Shape { k, n, za, use_simd };
     let threads = available_threads();
     if m.saturating_mul(n) >= PARALLEL_THRESHOLD && threads > 1 && m > 1 {
-        parallel_rows_i8(a, b, &mut out, m, k, n, threads, use_simd);
+        parallel_rows_i8(a, b, &mut out, m, shape, threads);
     } else {
-        i8_band_kernel(a, b, &mut out, m, k, n, use_simd);
+        shape.band(a, b, &mut out, m);
     }
     Ok(out)
 }
 
 /// Reference (naive triple-loop) `i8` multiplication used by the
-/// equivalence suites to pin [`matmul_i8_i32`] bit-exact.
+/// equivalence suites to pin [`matmul_i8_i32`] bit-exact; same contract,
+/// `za` included.
 ///
 /// # Errors
 ///
@@ -336,6 +353,7 @@ pub fn matmul_i8_i32_reference(
     m: usize,
     k: usize,
     n: usize,
+    za: i8,
 ) -> Result<Vec<i32>> {
     check_i8_shapes(a, b, m, k, n)?;
     let mut out = vec![0i32; m.saturating_mul(n)];
@@ -343,12 +361,43 @@ pub fn matmul_i8_i32_reference(
         for j in 0..n {
             let mut sum = 0i32;
             for p in 0..k {
-                sum += i32::from(a[i * k + p]) * i32::from(b[p * n + j]);
+                sum += (i32::from(a[i * k + p]) - i32::from(za)) * i32::from(b[p * n + j]);
             }
             out[i * n + j] = sum;
         }
     }
     Ok(out)
+}
+
+/// Everything about one `i8` product but the rows of `a` a band holds.
+#[derive(Clone, Copy)]
+struct I8Shape {
+    k: usize,
+    n: usize,
+    za: i8,
+    use_simd: bool,
+}
+
+impl I8Shape {
+    /// Serial band kernel: `out (m x n) = (a - za) (m x k) * b (k x n)`
+    /// through the AVX2 or portable implementation. `out` must be zeroed
+    /// by the caller.
+    fn band(self, a: &[i8], b: &[i8], out: &mut [i32], m: usize) {
+        let I8Shape { k, n, za, use_simd } = self;
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if use_simd {
+            // SAFETY: `use_simd` is only true after the dispatcher observed
+            // `is_x86_feature_detected!("avx2")`; slice bounds are checked by
+            // `check_i8_shapes` and the band carving in `parallel_rows_i8`.
+            #[allow(unsafe_code)]
+            unsafe {
+                simd::gemm_i8_avx2(a, b, out, m, k, n, za)
+            };
+            return;
+        }
+        let _ = use_simd;
+        i8_portable_kernel(a, b, out, m, k, n, za);
+    }
 }
 
 /// One row-band of an `i8` product.
@@ -361,17 +410,8 @@ struct RowJobI8<'a> {
 /// Row-band parallel driver for the `i8` kernel: the same two-stage SDF
 /// schedule (plan -> rows) as the `f32` path, executed through the
 /// generic runtime.
-#[allow(clippy::too_many_arguments)]
-fn parallel_rows_i8(
-    a: &[i8],
-    b: &[i8],
-    out: &mut [i32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-    use_simd: bool,
-) {
+fn parallel_rows_i8(a: &[i8], b: &[i8], out: &mut [i32], m: usize, shape: I8Shape, threads: usize) {
+    let (k, n) = (shape.k, shape.n);
     let rows_per_chunk = m.div_ceil(threads).max(1);
     let mut jobs = Vec::new();
     let mut remaining = out;
@@ -404,7 +444,7 @@ fn parallel_rows_i8(
             workers: threads,
             f: Box::new(move |_, mut inputs| {
                 let job = inputs.pop().expect("one row band per firing");
-                i8_band_kernel(job.a, b, job.out, job.rows, k, n, use_simd);
+                shape.band(job.a, b, job.out, job.rows);
                 Ok(Vec::new())
             }),
         },
@@ -412,36 +452,12 @@ fn parallel_rows_i8(
     runtime::run(&plan, 1, bindings).expect("gemm row schedule cannot fail");
 }
 
-/// Serial `i8` band kernel: dispatches one row band to the AVX2 or
-/// portable implementation. `out` must be zeroed by the caller.
-fn i8_band_kernel(
-    a: &[i8],
-    b: &[i8],
-    out: &mut [i32],
-    m: usize,
-    k: usize,
-    n: usize,
-    use_simd: bool,
-) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if use_simd {
-        // SAFETY: `use_simd` is only true after the dispatcher observed
-        // `is_x86_feature_detected!("avx2")`; slice bounds are checked by
-        // `check_i8_shapes` and the band carving above.
-        #[allow(unsafe_code)]
-        unsafe {
-            simd::gemm_i8_avx2(a, b, out, m, k, n)
-        };
-        return;
-    }
-    let _ = use_simd;
-    i8_portable_kernel(a, b, out, m, k, n);
-}
-
 /// Portable blocked `i8` kernel: (i, p, j) loops with `i32` accumulation,
 /// written so the inner `j` loop is a flat multiply-add stream LLVM can
-/// autovectorize on any target.
-fn i8_portable_kernel(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
+/// autovectorize on any target. Rows whose centred factor `a - za` is
+/// zero are skipped.
+fn i8_portable_kernel(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize, za: i8) {
+    let za = i32::from(za);
     for ib in (0..m).step_by(BLOCK) {
         let i_end = (ib + BLOCK).min(m);
         for pb in (0..k).step_by(BLOCK) {
@@ -452,7 +468,7 @@ fn i8_portable_kernel(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n
                     let a_row = &a[i * k..(i + 1) * k];
                     let out_row = &mut out[i * n + jb..i * n + j_end];
                     for p in pb..p_end {
-                        let av = i32::from(a_row[p]);
+                        let av = i32::from(a_row[p]) - za;
                         if av == 0 {
                             continue;
                         }
@@ -467,19 +483,52 @@ fn i8_portable_kernel(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n
     }
 }
 
-/// The AVX2 `i8` kernel. Isolated in its own module so the crate-level
-/// `deny(unsafe_code)` stays intact everywhere else; this is the only
-/// unsafe code in the workspace's algorithm crates.
+/// The AVX2 `i8` kernel: a register-blocked microkernel. Isolated in its
+/// own module so the crate-level `deny(unsafe_code)` stays intact
+/// everywhere else; this is the only unsafe code in the workspace's
+/// algorithm crates, and it is compiled out under Miri.
+///
+/// Rows of `a` go in blocks of 64. Within a block the outer loop walks
+/// 64-column slabs of `b`. Each slab is first copied into a per-call
+/// scratch buffer as one contiguous run of k-pairs per 16-column panel,
+/// rows `p` and `p + 1` interleaved byte by byte
+/// (`_mm_unpack{lo,hi}_epi8`). Then, panel by panel, the inner loop walks
+/// 4-row groups of `a` over that copy. A 4 x 16 output tile lives in
+/// eight `i32` accumulators for the whole reduction, so `out` is written
+/// once per element and never read. Each step loads one k-pair of the
+/// panel, sign-extends it to `i16` and multiplies it by
+/// `_mm256_madd_epi16` against the broadcast centred pair
+/// `(a[i,p] - za, a[i,p+1] - za)`, which adds the two products into one
+/// `i32` lane. A centred factor lies in `[-255, 255]` and fits `i16`;
+/// each product is at most `255 · 128 = 32_640` in magnitude and each
+/// pair sum at most `65_280`, so `madd` is exact and the lane sums are
+/// exact under the caller's depth bound (`k * 32_640 <= 2^31 - 1`).
+///
+/// The copy reads `b` once per row block; the 4-row groups then stream
+/// each panel contiguously from L1. Reading the panels in place, at the
+/// row stride and once per 4-row group, made the kernel's speed depend on
+/// where `b` happened to land in the caches, which differed from one
+/// process to the next. The copy also zero-pads an odd `k` and the
+/// columns past `n`, so every shape takes this one path. The scratch
+/// lives for one call: no packed copy of the weights outlives it.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[allow(unsafe_code)]
 mod simd {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    /// `out (m x n) += a (m x k) * b (k x n)` with 16-lane widening
-    /// multiply-accumulate: per scalar `a[i,p]`, 16 `i8` values of the
-    /// `b` row are sign-extended to `i16`, multiplied (products fit
-    /// `i16`: |a·b| <= 127·127), widened to `i32`, and accumulated.
+    /// Output columns per panel: one 16-byte load of a `b` row.
+    const PANEL: usize = 16;
+    /// Panels per slab: one 64-byte cache line of a `b` row.
+    const SLAB_PANELS: usize = 4;
+    /// Rows of `a` per register tile.
+    const TILE_ROWS: usize = 4;
+    /// Rows of `a` centred and paired at a time, which bounds the
+    /// kernel's scratch to `ROW_BLOCK * k * 2` bytes however tall `a` is.
+    const ROW_BLOCK: usize = 64;
+
+    /// `out (m x n) = (a - za) (m x k) * b (k x n)`. `out` must be zeroed
+    /// by the caller: an empty product leaves it untouched.
     ///
     /// # Safety
     ///
@@ -493,43 +542,163 @@ mod simd {
         m: usize,
         k: usize,
         n: usize,
+        za: i8,
     ) {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (p, &ap) in a_row.iter().enumerate() {
-                if ap == 0 {
-                    continue;
-                }
-                let b_row = &b[p * n..(p + 1) * n];
-                let va = _mm256_set1_epi16(i16::from(ap));
-                let mut j = 0usize;
-                while j + 16 <= n {
-                    // SAFETY: j + 16 <= n bounds every 16-lane access.
-                    unsafe {
-                        let vb8 = _mm_loadu_si128(b_row.as_ptr().add(j).cast());
-                        let vb = _mm256_cvtepi8_epi16(vb8);
-                        let prod = _mm256_mullo_epi16(va, vb);
-                        let lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod));
-                        let hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1));
-                        let out_lo: *mut __m256i = out_row.as_mut_ptr().add(j).cast();
-                        _mm256_storeu_si256(
-                            out_lo,
-                            _mm256_add_epi32(_mm256_loadu_si256(out_lo), lo),
-                        );
-                        let out_hi: *mut __m256i = out_row.as_mut_ptr().add(j + 8).cast();
-                        _mm256_storeu_si256(
-                            out_hi,
-                            _mm256_add_epi32(_mm256_loadu_si256(out_hi), hi),
-                        );
+        if m == 0 || k == 0 || n == 0 {
+            return;
+        }
+        // A panel is kp interleaved k-pairs of 2 x PANEL bytes.
+        let kp = k.div_ceil(2);
+        let panel_len = kp * 2 * PANEL;
+        let mut slab = vec![0i8; n.div_ceil(PANEL).min(SLAB_PANELS) * panel_len];
+        let mut pairs = Vec::with_capacity(ROW_BLOCK.min(m) * kp);
+        for (a, out) in a.chunks(ROW_BLOCK * k).zip(out.chunks_mut(ROW_BLOCK * n)) {
+            let m = out.len() / n;
+            centred_pairs(a, k, za, &mut pairs);
+            for j0 in (0..n).step_by(SLAB_PANELS * PANEL) {
+                let cols = (n - j0).min(SLAB_PANELS * PANEL);
+                // SAFETY: AVX2 is available, columns j0 .. j0 + cols exist
+                // in every row of `b`, and `slab` holds a panel for every
+                // 16 of them.
+                unsafe { pack_slab(b, k, n, j0, cols, &mut slab) };
+                for (packed, c) in slab.chunks_exact(panel_len).zip((0..cols).step_by(PANEL)) {
+                    let width = (cols - c).min(PANEL);
+                    for i in (0..m).step_by(TILE_ROWS) {
+                        let rows = (m - i).min(TILE_ROWS);
+                        let pairs = &pairs[i * kp..(i + rows) * kp];
+                        let out = &mut out[i * n + j0 + c..];
+                        // SAFETY: AVX2 is available, `packed` holds the kp
+                        // k-pairs of this panel, and each of the `rows`
+                        // rows of `out` has `width` lanes from j0 + c.
+                        unsafe {
+                            match rows {
+                                4 => tile::<4>(pairs, kp, packed, out, n, width),
+                                3 => tile::<3>(pairs, kp, packed, out, n, width),
+                                2 => tile::<2>(pairs, kp, packed, out, n, width),
+                                _ => tile::<1>(pairs, kp, packed, out, n, width),
+                            }
+                        }
                     }
-                    j += 16;
-                }
-                let av = i32::from(ap);
-                for (o, &bv) in out_row[j..].iter_mut().zip(&b_row[j..]) {
-                    *o += av * i32::from(bv);
                 }
             }
+        }
+    }
+
+    /// Centres each `k`-wide row of `a` by `za` and packs it into `pairs`
+    /// as `i16` pairs, one `i32` per k-pair: `a[i,p] - za` in the low
+    /// half, `a[i,p+1] - za` in the high half, and `0` past an odd `k`.
+    /// This is the broadcast operand of `madd`.
+    fn centred_pairs(a: &[i8], k: usize, za: i8, pairs: &mut Vec<i32>) {
+        let za = i32::from(za);
+        pairs.clear();
+        for row in a.chunks_exact(k) {
+            for pair in row.chunks(2) {
+                let lo = i32::from(pair[0]) - za;
+                let hi = pair.get(1).map_or(0, |&q| i32::from(q) - za);
+                pairs.push((lo & 0xFFFF) | (hi << 16));
+            }
+        }
+    }
+
+    /// Copies columns `j0 .. j0 + cols` of `b` into `slab`, one panel of
+    /// k-pairs per 16 columns: pair `q` of a panel starting at column `j`
+    /// is the 32 bytes `b[2q, j], b[2q+1, j], b[2q, j+1], ...`, zero past
+    /// `cols` and past an odd `k`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 is available; `b` holds `k x n` bytes, `j0 + cols <= n`, and
+    /// `slab` holds `cols.div_ceil(PANEL)` panels of
+    /// `k.div_ceil(2) * 2 * PANEL` bytes.
+    #[target_feature(enable = "avx2")]
+    unsafe fn pack_slab(b: &[i8], k: usize, n: usize, j0: usize, cols: usize, slab: &mut [i8]) {
+        let kp = k.div_ceil(2);
+        let panel_len = kp * 2 * PANEL;
+        assert!(j0 + cols <= n && slab.len() >= cols.div_ceil(PANEL) * panel_len);
+        for (packed, j) in slab
+            .chunks_exact_mut(panel_len)
+            .zip((j0..j0 + cols).step_by(PANEL))
+        {
+            let width = (j0 + cols - j).min(PANEL);
+            let mut mask = [0i8; PANEL];
+            mask[..width].fill(-1);
+            // SAFETY: `mask` holds PANEL = 16 bytes.
+            let keep = unsafe { _mm_loadu_si128(mask.as_ptr().cast()) };
+            // Columns j .. j + width of row p, zero past `width`.
+            let row = |p: usize| -> __m128i {
+                if p >= k {
+                    return _mm_setzero_si128();
+                }
+                let start = p * n + j;
+                if start + PANEL <= b.len() {
+                    // SAFETY: b[start .. start + PANEL] is in bounds; the
+                    // bytes past `width` are masked off.
+                    let lanes = unsafe { _mm_loadu_si128(b.as_ptr().add(start).cast()) };
+                    return _mm_and_si128(lanes, keep);
+                }
+                // The last row of `b` may hold fewer than PANEL bytes from
+                // column j on.
+                let mut lanes = [0i8; PANEL];
+                lanes[..width].copy_from_slice(&b[start..start + width]);
+                // SAFETY: `lanes` holds PANEL = 16 bytes.
+                unsafe { _mm_loadu_si128(lanes.as_ptr().cast()) }
+            };
+            for q in 0..kp {
+                let (r0, r1) = (row(2 * q), row(2 * q + 1));
+                // SAFETY: k-pair q spans bytes 32q .. 32q + 32 of
+                // `packed`, which holds kp of them.
+                unsafe {
+                    let dst = packed.as_mut_ptr().add(q * 2 * PANEL);
+                    _mm_storeu_si128(dst.cast(), _mm_unpacklo_epi8(r0, r1));
+                    _mm_storeu_si128(dst.add(PANEL).cast(), _mm_unpackhi_epi8(r0, r1));
+                }
+            }
+        }
+    }
+
+    /// An `R x 16` register tile: accumulates the whole reduction in
+    /// `2 R` `i32` vectors, then stores the first `width` columns of each
+    /// row.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 is available; `pairs` holds `R` rows of `kp` centred pairs,
+    /// `packed` holds `kp` k-pairs of one panel, and every row `r < R` of
+    /// `out` has `width <= PANEL` writable lanes at `r * ldo`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile<const R: usize>(
+        pairs: &[i32],
+        kp: usize,
+        packed: &[i8],
+        out: &mut [i32],
+        ldo: usize,
+        width: usize,
+    ) {
+        assert!(pairs.len() >= R * kp && packed.len() >= kp * 2 * PANEL);
+        let mut acc = [[_mm256_setzero_si256(); 2]; R];
+        for q in 0..kp {
+            // SAFETY: k-pair q spans bytes 32q .. 32q + 32 of `packed`,
+            // and r * kp + q < R * kp <= pairs.len(), both asserted above.
+            unsafe {
+                let pair = packed.as_ptr().add(q * 2 * PANEL);
+                let lo = _mm256_cvtepi8_epi16(_mm_loadu_si128(pair.cast()));
+                let hi = _mm256_cvtepi8_epi16(_mm_loadu_si128(pair.add(PANEL).cast()));
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let va = _mm256_set1_epi32(*pairs.get_unchecked(r * kp + q));
+                    acc_r[0] = _mm256_add_epi32(acc_r[0], _mm256_madd_epi16(va, lo));
+                    acc_r[1] = _mm256_add_epi32(acc_r[1], _mm256_madd_epi16(va, hi));
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            let row = &mut out[r * ldo..];
+            let mut lanes = [0i32; PANEL];
+            // SAFETY: `lanes` holds PANEL = 2 x 8 lanes.
+            unsafe {
+                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc_r[0]);
+                _mm256_storeu_si256(lanes.as_mut_ptr().add(8).cast(), acc_r[1]);
+            }
+            row[..width].copy_from_slice(&lanes[..width]);
         }
     }
 }
@@ -703,23 +872,35 @@ mod tests {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let mut rng = DetRng::new(8);
+        // Shapes cross the 4-row tile, the 64-row block, the 16-column
+        // panel (full, padded and both), the 64-column slab (full, and a
+        // second one that is one column or a partial panel wide) and
+        // odd/even depths.
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 7, 5),
             (17, 93, 41),
             (64, 64, 64),
+            (3, 5, 65),
+            (6, 11, 100),
             (5, 40, 33),
+            (9, 617, 26),
+            (4, 2, 16),
+            (70, 9, 20),
+            (2, 0, 3),
         ] {
-            let a = random_i8(m * k, &mut rng);
-            let b = random_i8(k * n, &mut rng);
-            let slow = matmul_i8_i32_reference(&a, &b, m, k, n).unwrap();
-            let fast = matmul_i8_i32(&a, &b, m, k, n).unwrap();
-            assert_eq!(fast, slow, "({m},{k},{n}) selected kernel");
-            // Force the portable kernel and re-check bit-exactness.
-            crate::kernels::set_simd_enabled(false);
-            let portable = matmul_i8_i32(&a, &b, m, k, n).unwrap();
-            crate::kernels::set_simd_enabled(true);
-            assert_eq!(portable, slow, "({m},{k},{n}) portable kernel");
+            for za in [0i8, 37, -128, 127] {
+                let a = random_i8(m * k, &mut rng);
+                let b = random_i8(k * n, &mut rng);
+                let slow = matmul_i8_i32_reference(&a, &b, m, k, n, za).unwrap();
+                let fast = matmul_i8_i32(&a, &b, m, k, n, za).unwrap();
+                assert_eq!(fast, slow, "({m},{k},{n}) za {za} selected kernel");
+                // Force the portable kernel and re-check bit-exactness.
+                crate::kernels::set_simd_enabled(false);
+                let portable = matmul_i8_i32(&a, &b, m, k, n, za).unwrap();
+                crate::kernels::set_simd_enabled(true);
+                assert_eq!(portable, slow, "({m},{k},{n}) za {za} portable kernel");
+            }
         }
     }
 
@@ -729,16 +910,18 @@ mod tests {
         let (m, k, n) = (192, 80, 512);
         let a = random_i8(m * k, &mut rng);
         let b = random_i8(k * n, &mut rng);
-        let slow = matmul_i8_i32_reference(&a, &b, m, k, n).unwrap();
-        let fast = matmul_i8_i32(&a, &b, m, k, n).unwrap();
-        assert_eq!(fast, slow);
+        for za in [0i8, -5] {
+            let slow = matmul_i8_i32_reference(&a, &b, m, k, n, za).unwrap();
+            let fast = matmul_i8_i32(&a, &b, m, k, n, za).unwrap();
+            assert_eq!(fast, slow, "za {za}");
+        }
     }
 
     #[test]
     fn i8_gemm_rejects_bad_lengths() {
-        assert!(matmul_i8_i32(&[0; 5], &[0; 6], 2, 3, 2).is_err());
-        assert!(matmul_i8_i32(&[0; 6], &[0; 5], 2, 3, 2).is_err());
-        assert!(matmul_i8_i32_reference(&[0; 5], &[0; 6], 2, 3, 2).is_err());
+        assert!(matmul_i8_i32(&[0; 5], &[0; 6], 2, 3, 2, 0).is_err());
+        assert!(matmul_i8_i32(&[0; 6], &[0; 5], 2, 3, 2, 0).is_err());
+        assert!(matmul_i8_i32_reference(&[0; 5], &[0; 6], 2, 3, 2, 0).is_err());
     }
 
     #[test]
@@ -749,8 +932,32 @@ mod tests {
         let k = 131_071;
         let a = vec![-128i8; k];
         let b = vec![-128i8; k];
-        let out = matmul_i8_i32(&a, &b, 1, k, 1).unwrap();
+        let out = matmul_i8_i32(&a, &b, 1, k, 1, 0).unwrap();
         assert_eq!(i64::from(out[0]), 16_384 * k as i64);
+    }
+
+    #[test]
+    fn i8_gemm_folded_extremes_are_exact_at_the_depth_bound() {
+        let _guard = crate::kernels::TEST_SIMD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        // k = 65_793 is the largest depth with k * 32_640 <= i32::MAX.
+        // Each corner makes every centred product +-32_640, so the sum
+        // sits at the rail; the portable run is overflow-checked in
+        // debug builds.
+        let k = 65_793;
+        for (qa, za, qb) in [(-128i8, 127i8, -128i8), (127, -128, -128), (-128, 127, 127)] {
+            let a = vec![qa; 2 * k];
+            let b = vec![qb; 17 * k];
+            let centred = (i64::from(qa) - i64::from(za)) * i64::from(qb);
+            assert!(centred.abs() >= 255 * 127);
+            let exact = vec![i32::try_from(k as i64 * centred).unwrap(); 2 * 17];
+            assert_eq!(matmul_i8_i32(&a, &b, 2, k, 17, za).unwrap(), exact);
+            crate::kernels::set_simd_enabled(false);
+            let portable = matmul_i8_i32(&a, &b, 2, k, 17, za);
+            crate::kernels::set_simd_enabled(true);
+            assert_eq!(portable.unwrap(), exact, "({qa}, {za}, {qb}) portable");
+        }
     }
 
     #[test]

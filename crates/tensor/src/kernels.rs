@@ -17,10 +17,12 @@
 //! CLI's `--no-simd` flag) and the `HD_NO_SIMD` environment variable both
 //! force the portable fallback, which is how the equivalence suite pins
 //! the non-SIMD path on machines where AVX2 would otherwise be selected.
-//! Unlike the counters, this switch is process-wide.
+//! Unlike the counters, this switch is process-wide; the variable is
+//! read once, at the first kernel dispatch.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 thread_local! {
     /// This thread's monotone kernel counters.
@@ -130,13 +132,13 @@ pub fn set_simd_enabled(enabled: bool) {
 
 /// Whether SIMD kernels are permitted right now: not disabled via
 /// [`set_simd_enabled`] and not vetoed by the `HD_NO_SIMD` environment
-/// variable. Target-feature detection happens separately at the dispatch
-/// site; this is only the policy half.
+/// variable, which is read once per process. Target-feature detection
+/// happens separately at the dispatch site; this is only the policy half.
 pub fn simd_permitted() -> bool {
-    if SIMD_DISABLED.load(Ordering::Relaxed) {
-        return false;
-    }
-    std::env::var_os("HD_NO_SIMD").is_none_or(|v| v.is_empty() || v == "0")
+    static ENV_VETO: OnceLock<bool> = OnceLock::new();
+    let vetoed = *ENV_VETO
+        .get_or_init(|| std::env::var_os("HD_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0"));
+    !vetoed && !SIMD_DISABLED.load(Ordering::Relaxed)
 }
 
 /// Name of the `i8` GEMM kernel the dispatcher would select right now.

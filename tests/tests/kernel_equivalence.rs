@@ -1,10 +1,12 @@
 //! Bit-exactness of every fast host kernel against its scalar
 //! reference: packed bipolar dot/Hamming scoring and vertical-counter
 //! bundling vs their per-component scans, and the runtime-dispatched
-//! `i8` GEMM vs the naive triple loop — including with SIMD forced off,
-//! so the portable fallback is held to the same contract as the
-//! vectorized kernel. Dimensions are drawn to cover `d % 64 != 0` tail
-//! words, the packed representation's main edge case.
+//! `i8` GEMM (input zero point folded in) vs the naive triple loop and an
+//! independent `i64` model — including with SIMD forced off, so the
+//! portable fallback is held to the same contract as the vectorized
+//! kernel. Dimensions are drawn to cover `d % 64 != 0` tail words, the
+//! packed representation's main edge case, and the GEMM's 4-row tiles,
+//! 16-column panels and odd depths.
 
 use proptest::prelude::*;
 
@@ -26,6 +28,40 @@ fn i8_vec(rng: &mut DetRng, n: usize) -> Vec<i8> {
         .map(|_| i8::try_from(rng.next_index(255) as i64 - 127).unwrap())
         .collect()
 }
+
+/// Operands over the full `i8` range, `-128` included.
+fn full_range_i8_vec(rng: &mut DetRng, n: usize) -> Vec<i8> {
+    (0..n)
+        .map(|_| i8::try_from(rng.next_index(256) as i64 - 128).unwrap())
+        .collect()
+}
+
+/// An independent `i64` model of the folded kernel's contract:
+/// `out[i,j] = Σ_p (a[i,p] - za) · b[p,j]`.
+fn folded_reference_i64(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, za: i8) -> Vec<i64> {
+    let mut out = Vec::with_capacity(m * n);
+    for row in a.chunks(k.max(1)).take(m) {
+        for j in 0..n {
+            let column = b.iter().skip(j).step_by(n);
+            let sum: i64 = row
+                .iter()
+                .zip(column)
+                .map(|(&qa, &qb)| (i64::from(qa) - i64::from(za)) * i64::from(qb))
+                .sum();
+            out.push(sum);
+        }
+    }
+    out
+}
+
+/// Depths the folded-GEMM property draws from: `k` = 1, 2, 3, a random
+/// odd depth, and the isolet feature count 617.
+fn pick_depth(sel: usize, odd_half: usize) -> usize {
+    [1, 2, 3, 2 * odd_half + 1, 617][sel]
+}
+
+/// Widths around the 16-column panel, the 26-class scorer and `d` = 2048.
+const WIDTHS: [usize; 7] = [1, 15, 16, 17, 26, 33, 2048];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -104,9 +140,38 @@ proptest! {
         let a = i8_vec(&mut rng, m * k);
         let b = i8_vec(&mut rng, k * n);
         prop_assert_eq!(
-            gemm::matmul_i8_i32(&a, &b, m, k, n).unwrap(),
-            gemm::matmul_i8_i32_reference(&a, &b, m, k, n).unwrap()
+            gemm::matmul_i8_i32(&a, &b, m, k, n, 0).unwrap(),
+            gemm::matmul_i8_i32_reference(&a, &b, m, k, n, 0).unwrap()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The folded kernel, SIMD on or forced off, against the `i64` model
+    /// for random and extreme input zero points.
+    #[test]
+    fn folded_i8_gemm_matches_i64_reference(
+        seed in 0u64..5000,
+        m in 1usize..10,
+        (k_sel, odd_half) in (0usize..5, 2usize..40),
+        n_sel in 0usize..7,
+        (za_sel, za_random) in (0usize..4, any::<i8>()),
+        portable in any::<bool>(),
+    ) {
+        let (k, n) = (pick_depth(k_sel, odd_half), WIDTHS[n_sel]);
+        let za = [za_random, i8::MIN, i8::MAX, 0][za_sel];
+        let mut rng = DetRng::new(seed);
+        let a = full_range_i8_vec(&mut rng, m * k);
+        let b = full_range_i8_vec(&mut rng, k * n);
+        if portable {
+            kernels::set_simd_enabled(false);
+        }
+        let got = gemm::matmul_i8_i32(&a, &b, m, k, n, za);
+        kernels::set_simd_enabled(true);
+        let got: Vec<i64> = got.unwrap().into_iter().map(i64::from).collect();
+        prop_assert_eq!(got, folded_reference_i64(&a, &b, m, k, n, za));
     }
 }
 
@@ -119,16 +184,16 @@ fn i8_gemm_with_simd_forced_off_stays_bit_exact() {
     let (m, k, n) = (17usize, 33usize, 129usize);
     let a = i8_vec(&mut rng, m * k);
     let b = i8_vec(&mut rng, k * n);
-    let dispatched = gemm::matmul_i8_i32(&a, &b, m, k, n).unwrap();
+    let dispatched = gemm::matmul_i8_i32(&a, &b, m, k, n, 0).unwrap();
     kernels::set_simd_enabled(false);
     let portable_name = kernels::i8_gemm_kernel_name().to_string();
-    let portable = gemm::matmul_i8_i32(&a, &b, m, k, n);
+    let portable = gemm::matmul_i8_i32(&a, &b, m, k, n, 0);
     kernels::set_simd_enabled(true);
     assert_eq!(portable_name, "portable");
     assert_eq!(dispatched, portable.unwrap());
     assert_eq!(
         dispatched,
-        gemm::matmul_i8_i32_reference(&a, &b, m, k, n).unwrap()
+        gemm::matmul_i8_i32_reference(&a, &b, m, k, n, 0).unwrap()
     );
 }
 
@@ -186,7 +251,7 @@ fn concurrent_gemm_traffic_does_not_leak_into_a_backend_ledger() {
             let b = i8_vec(&mut DetRng::new(2), 32 * 16);
             let mut calls = 0u64;
             while calls == 0 || !stop.load(Ordering::Relaxed) {
-                gemm::matmul_i8_i32(&a, &b, 8, 32, 16).unwrap();
+                gemm::matmul_i8_i32(&a, &b, 8, 32, 16, 0).unwrap();
                 calls += 1;
             }
             calls
