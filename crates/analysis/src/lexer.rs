@@ -195,8 +195,9 @@ fn find_raw_string_end(bytes: &[u8], mut i: usize, hashes: usize) -> (usize, boo
 fn char_literal_end(bytes: &[u8], i: usize) -> Option<usize> {
     let next = *bytes.get(i + 1)?;
     if next == b'\\' {
-        // Escape: skip to the closing quote.
-        let mut j = i + 2;
+        // Escape: skip the escaped byte, which may itself be a `\` (as in
+        // '\\') or a `'` (as in '\''), then scan to the closing quote.
+        let mut j = i + 3;
         while j < bytes.len() {
             match bytes[j] {
                 b'\\' => j += 2,
@@ -338,6 +339,23 @@ mod tests {
         assert!(m.code().contains("<'a>"));
         assert!(m.code().contains("&'a str"));
         assert!(!m.code().contains("'='"));
+    }
+
+    #[test]
+    fn escaped_char_literals_end_at_their_own_quote() {
+        // Each literal sits before string and char literals; one that
+        // ends early or late masks the code after it out of step.
+        for lit in [r"'\\'", r"'\''", r#"'"'"#, r"'\u{1F600}'", r"'\x7f'"] {
+            let src = format!(
+                "let s = x.replace({lit}, \"/\").replace('\"', \"'\"); let b = \"y == 0.25\"; let z = 9;"
+            );
+            let m = MaskedSource::new(&src);
+            let code = m.code();
+            assert_eq!(code.matches(".replace(").count(), 2, "{lit}: {code:?}");
+            assert!(!code.contains("0.25"), "{lit}: {code:?}");
+            assert!(code.contains("let z = 9;"), "{lit}: {code:?}");
+            assert_eq!(code.len(), src.len());
+        }
     }
 
     #[test]

@@ -838,6 +838,30 @@ mod tests {
     }
 
     #[test]
+    fn escaped_char_literals_do_not_leak_test_asserts_into_a_pub_fn() {
+        // '\\' once swallowed its closing quote, so the masking ran out of
+        // step and the test module's `assert!` landed in `normalize`'s body.
+        let src = r#"pub fn normalize(rev: &str) -> String {
+    rev.replace('\\', "/").replace('"', "'")
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        let q = '"';
+        assert!(q != 'x');
+    }
+}
+"#;
+        let diags = lint("crates/core/src/lib.rs", src);
+        assert!(
+            !codes(&diags).contains(&"lint/fallible-returns-result"),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
     fn builder_without_must_use_warned() {
         let src = "impl B {\n    pub fn with_x(mut self, x: u32) -> Self {\n        self.x = x;\n        self\n    }\n}\n";
         let diags = lint("crates/core/src/lib.rs", src);

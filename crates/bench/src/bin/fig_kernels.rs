@@ -1,6 +1,6 @@
-//! Wall-clock microbenchmarks of the packed bipolar and SIMD `i8` host
-//! kernels against their scalar references (each pinned bit-exact before
-//! timing), and writes the machine-readable `BENCH_kernels.json`
+//! Wall-clock microbenchmarks of the packed bipolar and SIMD `i8` and
+//! `f32` host kernels against their scalar references (each pinned
+//! bit-exact before timing), and writes the machine-readable `BENCH_kernels.json`
 //! baseline at the repository root. See
 //! `hd_bench::experiments::fig_kernels_report`.
 

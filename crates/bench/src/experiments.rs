@@ -621,6 +621,7 @@ pub fn fig_pipeline_report() -> (ResultTable, crate::report::PipelineBenchReport
         wall_speedup,
         threads,
         smoke,
+        provenance: crate::report::Provenance::current(),
     };
     (t, report)
 }
@@ -792,6 +793,7 @@ pub fn fig_schedule_report() -> (ResultTable, crate::report::ScheduleBenchReport
         serve_pipelined_s,
         serve_speedup,
         smoke,
+        provenance: crate::report::Provenance::current(),
     };
     (t, report)
 }
@@ -919,6 +921,7 @@ pub fn fig_resilience_report() -> (ResultTable, crate::report::ResilienceBenchRe
         min_recovered_frac,
         total_faults,
         smoke,
+        provenance: crate::report::Provenance::current(),
     };
     (t, report)
 }
@@ -958,9 +961,9 @@ fn i8_vec(rng: &mut DetRng, n: usize) -> Vec<i8> {
 }
 
 /// `fig_kernels` plus its machine-readable report: honest wall-clock
-/// microbenchmarks of the three host kernels behind the packed bipolar
-/// datapath, each pinned bit-exact against its scalar reference before
-/// the timings are trusted:
+/// microbenchmarks of the host kernels behind the packed bipolar, int8
+/// and `f32` datapaths, each pinned bit-exact against its scalar
+/// reference before the timings are trusted:
 ///
 /// 1. batch scoring — packed XOR+popcount Hamming scan
 ///    ([`hd_tensor::packed::PackedClassHypervectors::predict_batch`])
@@ -971,11 +974,16 @@ fn i8_vec(rng: &mut DetRng, n: usize) -> Vec<i8> {
 ///    vs the naive triple loop, at a wide encode shape (features × `d`)
 ///    and at the two serve-path shapes ([`SERVE_ENCODE_SHAPE`] and the
 ///    narrow [`SERVE_SCORE_SHAPE`]);
-/// 3. majority bundling — vertical bit-sliced counters
+/// 3. `f32` GEMM — the dispatched [`hd_tensor::gemm::matmul`] vs
+///    [`hd_tensor::gemm::matmul_reference`], bit for bit, at the host
+///    train encode ([`TRAIN_ENCODE_SHAPE`]) and class-scoring
+///    ([`TRAIN_SCORE_SHAPE`]) shapes, 64 rows at smoke scale;
+/// 4. majority bundling — vertical bit-sliced counters
 ///    ([`hd_tensor::packed::majority_bundle`]) over 33 packed vectors.
 ///
 /// All numbers are best-of-3 wall-clock on the current host (best-of-20
-/// for the dispatched kernel on the sub-millisecond serve shapes) — no
+/// for the dispatched kernel on the sub-millisecond serve shapes, best of
+/// 5 for the dispatched `f32` GEMM against one timed reference run) — no
 /// simulated clocks are involved, so this is the one figure whose
 /// absolute values vary by machine (CI gates the *ratios*, which are
 /// representation properties, with generous margins).
@@ -1052,6 +1060,12 @@ pub fn fig_kernels_report() -> (ResultTable, crate::report::KernelsBenchReport) 
     // 26-class scorer, with a nonzero input zero point as in serving.
     let encode = time_i8_gemm(&mut rng, SERVE_ENCODE_SHAPE, 3, 20);
     let score = time_i8_gemm(&mut rng, SERVE_SCORE_SHAPE, -7, 20);
+    // The host f32 datapath: the train encode and class-scoring products
+    // over the training set (fewer rows at smoke scale).
+    let f32_rows = if smoke { 64 } else { TRAIN_ENCODE_SHAPE.0 };
+    let f32_shape = |(_, k, n): (usize, usize, usize)| (f32_rows, k, n);
+    let f32_encode = time_f32_gemm(&mut rng, f32_shape(TRAIN_ENCODE_SHAPE));
+    let f32_score = time_f32_gemm(&mut rng, f32_shape(TRAIN_SCORE_SHAPE));
 
     // --- 3. vertical-counter majority bundling ------------------------
     let members: Vec<PackedBipolar> = (0..bundle_vectors)
@@ -1095,6 +1109,18 @@ pub fn fig_kernels_report() -> (ResultTable, crate::report::KernelsBenchReport) 
             fmt_speedup(timing.speedup()),
         ]);
     }
+    for (label, shape, timing) in [
+        ("train encode", TRAIN_ENCODE_SHAPE, &f32_encode),
+        ("train score", TRAIN_SCORE_SHAPE, &f32_score),
+    ] {
+        let (m, k, n) = f32_shape(shape);
+        t.push_row(vec![
+            format!("f32 gemm {m}x{k}x{n} {label} ({i8_kernel})"),
+            crate::fmt_secs(timing.naive_s),
+            crate::fmt_secs(timing.fast_s),
+            fmt_speedup(timing.speedup()),
+        ]);
+    }
     t.push_row(vec![
         format!("majority bundle ({bundle_vectors} vectors, d={dim})"),
         format!("{:.3} GiB/s", bundle_gib_s),
@@ -1124,12 +1150,18 @@ pub fn fig_kernels_report() -> (ResultTable, crate::report::KernelsBenchReport) 
         score_gemm_s: score.fast_s,
         score_naive_s: score.naive_s,
         score_speedup: score.speedup(),
+        f32_rows,
+        f32_encode_gemm_s: f32_encode.fast_s,
+        f32_encode_reference_s: f32_encode.naive_s,
+        f32_encode_speedup: f32_encode.speedup(),
+        f32_score_gemm_s: f32_score.fast_s,
+        f32_score_reference_s: f32_score.naive_s,
+        f32_score_speedup: f32_score.speedup(),
         bundle_vectors,
         bundle_s,
         bundle_gib_s,
         smoke,
-        nproc: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        git_describe: crate::report::git_describe(),
+        provenance: crate::report::Provenance::current(),
     };
     (t, report)
 }
@@ -1142,14 +1174,22 @@ pub const SERVE_ENCODE_SHAPE: (usize, usize, usize) = (16, 617, 2048);
 /// class hypervectors.
 pub const SERVE_SCORE_SHAPE: (usize, usize, usize) = (16, 2048, 26);
 
-/// Wall-clock of one `i8` GEMM shape on the dispatched kernel and on the
+/// `(m, k, n)` of the host train encode: the 600 training rows of 617
+/// isolet features through the `d` = 2048 base.
+pub const TRAIN_ENCODE_SHAPE: (usize, usize, usize) = (600, 617, 2048);
+
+/// `(m, k, n)` of the host class scoring: the 600 encoded training rows
+/// against 26 class hypervectors.
+pub const TRAIN_SCORE_SHAPE: (usize, usize, usize) = (600, 2048, 26);
+
+/// Wall-clock of one GEMM shape on the dispatched kernel and on the
 /// naive reference.
-struct I8GemmTiming {
+struct GemmTiming {
     fast_s: f64,
     naive_s: f64,
 }
 
-impl I8GemmTiming {
+impl GemmTiming {
     fn speedup(&self) -> f64 {
         self.naive_s / self.fast_s
     }
@@ -1167,7 +1207,7 @@ fn time_i8_gemm(
     (m, k, n): (usize, usize, usize),
     za: i8,
     reps: usize,
-) -> I8GemmTiming {
+) -> GemmTiming {
     use hd_tensor::gemm;
     let a = i8_vec(rng, m * k);
     let b = i8_vec(rng, k * n);
@@ -1181,7 +1221,35 @@ fn time_i8_gemm(
         fast, naive,
         "dispatched i8 GEMM must be bit-exact with the naive reference ({m}x{k}x{n})"
     );
-    I8GemmTiming { fast_s, naive_s }
+    GemmTiming { fast_s, naive_s }
+}
+
+/// Times the dispatched `f32` GEMM (best of 5) and the naive reference
+/// (one timed run; it is slow) on random operands of `shape`, every
+/// seventh element of `a` zero, after pinning the two bit-identical.
+///
+/// # Panics
+///
+/// Panics if the dispatched kernel disagrees with the reference in any
+/// bit.
+fn time_f32_gemm(rng: &mut DetRng, (m, k, n): (usize, usize, usize)) -> GemmTiming {
+    use hd_tensor::{gemm, Matrix};
+    let mut a = Matrix::random_normal(m, k, rng);
+    a.as_mut_slice()
+        .iter_mut()
+        .step_by(7)
+        .for_each(|v| *v = 0.0);
+    let b = Matrix::random_normal(k, n, rng);
+    let (fast_s, fast) = best_of(5, || gemm::matmul(&a, &b).expect("gemm shapes agree"));
+    let (naive_s, naive) = best_of(1, || {
+        gemm::matmul_reference(&a, &b).expect("gemm shapes agree")
+    });
+    let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(&fast) == bits(&naive),
+        "dispatched f32 GEMM must be bit-identical with the naive reference ({m}x{k}x{n})"
+    );
+    GemmTiming { fast_s, naive_s }
 }
 
 /// `fig_kernels`: the table half of [`fig_kernels_report`].

@@ -10,6 +10,42 @@
 
 use std::path::{Path, PathBuf};
 
+/// Where a report's numbers came from: the measured tree and the
+/// measuring host. Every `BENCH_*.json` carries it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Provenance {
+    /// `git describe --always --dirty` of the measured tree (see
+    /// [`git_describe`]).
+    pub git_describe: Option<String>,
+    /// Hardware threads of the measuring host.
+    pub nproc: usize,
+}
+
+impl Provenance {
+    /// The provenance of this run: this checkout's revision and this
+    /// host's hardware threads.
+    #[must_use]
+    pub fn current() -> Self {
+        Provenance {
+            git_describe: git_describe(),
+            nproc: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        }
+    }
+
+    /// The `"git_describe"` and `"nproc"` lines of a flat report, each
+    /// indented and comma-terminated like the keys around them.
+    fn json_lines(&self) -> String {
+        let git_describe = self.git_describe.as_ref().map_or_else(
+            || String::from("null"),
+            |rev| format!("\"{}\"", rev.escape_debug()),
+        );
+        format!(
+            "  \"git_describe\": {git_describe},\n  \"nproc\": {},\n",
+            self.nproc
+        )
+    }
+}
+
 /// Measurements of one `fig_pipeline` run: the simulated-clock gain of
 /// the overlapped DMA/compute invoke schedule on a transfer-bound encode
 /// workload, and the wall-clock gain of training bagged members on
@@ -32,16 +68,18 @@ pub struct PipelineBenchReport {
     pub threads: usize,
     /// Whether the run was at `HD_BENCH_SMOKE` scale.
     pub smoke: bool,
+    /// The measured tree and host.
+    pub provenance: Provenance,
 }
 
 impl PipelineBenchReport {
-    /// Renders the flat JSON form. `git_describe` is always `null`: the
-    /// artifact is committed alongside the code it measured, so the
-    /// revision is the commit itself and the harness never shells out.
+    /// Renders the flat JSON form: one key per line, no serde, stamped
+    /// with the measured tree's revision and the host's `nproc`.
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"bench\": \"pipeline\",\n  \"git_describe\": null,\n  \"smoke\": {},\n  \"threads\": {},\n  \"simulated_serial_s\": {:.9},\n  \"simulated_pipelined_s\": {:.9},\n  \"simulated_speedup\": {:.4},\n  \"wall_sequential_s\": {:.6},\n  \"wall_parallel_s\": {:.6},\n  \"wall_speedup\": {:.4}\n}}\n",
+            "{{\n  \"bench\": \"pipeline\",\n{}  \"smoke\": {},\n  \"threads\": {},\n  \"simulated_serial_s\": {:.9},\n  \"simulated_pipelined_s\": {:.9},\n  \"simulated_speedup\": {:.4},\n  \"wall_sequential_s\": {:.6},\n  \"wall_parallel_s\": {:.6},\n  \"wall_speedup\": {:.4}\n}}\n",
+            self.provenance.json_lines(),
             self.smoke,
             self.threads,
             self.simulated_serial_s,
@@ -87,15 +125,18 @@ pub struct ScheduleBenchReport {
     pub serve_speedup: f64,
     /// Whether the run was at `HD_BENCH_SMOKE` scale.
     pub smoke: bool,
+    /// The measured tree and host.
+    pub provenance: Provenance,
 }
 
 impl ScheduleBenchReport {
     /// Renders the flat JSON form (same conventions as
-    /// [`PipelineBenchReport::to_json`]: one key per line, no serde).
+    /// [`PipelineBenchReport::to_json`]).
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"bench\": \"schedule\",\n  \"git_describe\": null,\n  \"smoke\": {},\n  \"overlapped_invoke_predicted_s\": {:.12},\n  \"overlapped_invoke_measured_s\": {:.12},\n  \"streamed_encode_predicted_s\": {:.12},\n  \"streamed_encode_measured_s\": {:.12},\n  \"parallel_members_predicted_s\": {:.12},\n  \"parallel_members_measured_s\": {:.12},\n  \"two_device_predicted_s\": {:.12},\n  \"two_device_measured_s\": {:.12},\n  \"max_abs_delta_s\": {:.15},\n  \"serve_serial_s\": {:.9},\n  \"serve_pipelined_s\": {:.9},\n  \"serve_speedup\": {:.4}\n}}\n",
+            "{{\n  \"bench\": \"schedule\",\n{}  \"smoke\": {},\n  \"overlapped_invoke_predicted_s\": {:.12},\n  \"overlapped_invoke_measured_s\": {:.12},\n  \"streamed_encode_predicted_s\": {:.12},\n  \"streamed_encode_measured_s\": {:.12},\n  \"parallel_members_predicted_s\": {:.12},\n  \"parallel_members_measured_s\": {:.12},\n  \"two_device_predicted_s\": {:.12},\n  \"two_device_measured_s\": {:.12},\n  \"max_abs_delta_s\": {:.15},\n  \"serve_serial_s\": {:.9},\n  \"serve_pipelined_s\": {:.9},\n  \"serve_speedup\": {:.4}\n}}\n",
+            self.provenance.json_lines(),
             self.smoke,
             self.overlapped_invoke_predicted_s,
             self.overlapped_invoke_measured_s,
@@ -148,15 +189,18 @@ pub struct ResilienceBenchReport {
     pub total_faults: u64,
     /// Whether the run was at `HD_BENCH_SMOKE` scale.
     pub smoke: bool,
+    /// The measured tree and host.
+    pub provenance: Provenance,
 }
 
 impl ResilienceBenchReport {
     /// Renders the flat JSON form (same conventions as
-    /// [`PipelineBenchReport::to_json`]: one key per line, no serde).
+    /// [`PipelineBenchReport::to_json`]).
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"bench\": \"resilience\",\n  \"git_describe\": null,\n  \"smoke\": {},\n  \"rows\": {},\n  \"predicted_s\": {:.12},\n  \"supervised_clean_s\": {:.12},\n  \"zero_fault_overhead\": {:.6},\n  \"throughput_clean\": {:.3},\n  \"throughput_2pct\": {:.3},\n  \"throughput_10pct\": {:.3},\n  \"throughput_30pct\": {:.3},\n  \"min_recovered_frac\": {:.6},\n  \"total_faults\": {}\n}}\n",
+            "{{\n  \"bench\": \"resilience\",\n{}  \"smoke\": {},\n  \"rows\": {},\n  \"predicted_s\": {:.12},\n  \"supervised_clean_s\": {:.12},\n  \"zero_fault_overhead\": {:.6},\n  \"throughput_clean\": {:.3},\n  \"throughput_2pct\": {:.3},\n  \"throughput_10pct\": {:.3},\n  \"throughput_30pct\": {:.3},\n  \"min_recovered_frac\": {:.6},\n  \"total_faults\": {}\n}}\n",
+            self.provenance.json_lines(),
             self.smoke,
             self.rows,
             self.predicted_s,
@@ -226,6 +270,26 @@ pub struct KernelsBenchReport {
     pub score_naive_s: f64,
     /// `score_naive_s / score_gemm_s`: the narrow-shape ratio.
     pub score_speedup: f64,
+    /// Rows of `a` in both `f32` GEMM runs (the training-set size at
+    /// full scale).
+    pub f32_rows: usize,
+    /// Best-of-5 wall-clock seconds for the dispatched `f32` GEMM
+    /// (`gemm::matmul`) at the train encode shape
+    /// (`experiments::TRAIN_ENCODE_SHAPE`).
+    pub f32_encode_gemm_s: f64,
+    /// Wall-clock seconds for `gemm::matmul_reference` on the same
+    /// operands.
+    pub f32_encode_reference_s: f64,
+    /// `f32_encode_reference_s / f32_encode_gemm_s`.
+    pub f32_encode_speedup: f64,
+    /// Best-of-5 wall-clock seconds for the dispatched `f32` GEMM at the
+    /// class-scoring shape (`experiments::TRAIN_SCORE_SHAPE`).
+    pub f32_score_gemm_s: f64,
+    /// Wall-clock seconds for `gemm::matmul_reference` on the same
+    /// operands.
+    pub f32_score_reference_s: f64,
+    /// `f32_score_reference_s / f32_score_gemm_s`.
+    pub f32_score_speedup: f64,
     /// Vectors per majority bundle.
     pub bundle_vectors: usize,
     /// Best-of-3 wall-clock seconds for one vertical-counter majority
@@ -235,27 +299,18 @@ pub struct KernelsBenchReport {
     pub bundle_gib_s: f64,
     /// Whether the run was at `HD_BENCH_SMOKE` scale.
     pub smoke: bool,
-    /// Hardware threads of the measuring host.
-    pub nproc: usize,
-    /// `git describe --always --dirty` of the measured tree (see
-    /// [`git_describe`]).
-    pub git_describe: Option<String>,
+    /// The measured tree and host.
+    pub provenance: Provenance,
 }
 
 impl KernelsBenchReport {
     /// Renders the flat JSON form (same conventions as
-    /// [`PipelineBenchReport::to_json`]: one key per line, no serde),
-    /// stamped with the measured tree's revision and the host's `nproc`.
+    /// [`PipelineBenchReport::to_json`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let git_describe = self.git_describe.as_ref().map_or_else(
-            || String::from("null"),
-            |rev| format!("\"{}\"", rev.escape_debug()),
-        );
         format!(
-            "{{\n  \"bench\": \"kernels\",\n  \"git_describe\": {},\n  \"nproc\": {},\n  \"smoke\": {},\n  \"dim\": {},\n  \"rows\": {},\n  \"classes\": {},\n  \"packed_score_s\": {:.12},\n  \"scalar_score_s\": {:.12},\n  \"packed_speedup\": {:.3},\n  \"gemm_m\": {},\n  \"gemm_k\": {},\n  \"gemm_n\": {},\n  \"simd_gemm_s\": {:.12},\n  \"naive_gemm_s\": {:.12},\n  \"simd_gemm_gops\": {:.3},\n  \"naive_gemm_gops\": {:.3},\n  \"gemm_speedup\": {:.3},\n  \"i8_kernel\": \"{}\",\n  \"encode_gemm_s\": {:.12},\n  \"encode_naive_s\": {:.12},\n  \"encode_speedup\": {:.3},\n  \"score_gemm_s\": {:.12},\n  \"score_naive_s\": {:.12},\n  \"score_speedup\": {:.3},\n  \"bundle_vectors\": {},\n  \"bundle_s\": {:.12},\n  \"bundle_gib_s\": {:.3}\n}}\n",
-            git_describe,
-            self.nproc,
+            "{{\n  \"bench\": \"kernels\",\n{}  \"smoke\": {},\n  \"dim\": {},\n  \"rows\": {},\n  \"classes\": {},\n  \"packed_score_s\": {:.12},\n  \"scalar_score_s\": {:.12},\n  \"packed_speedup\": {:.3},\n  \"gemm_m\": {},\n  \"gemm_k\": {},\n  \"gemm_n\": {},\n  \"simd_gemm_s\": {:.12},\n  \"naive_gemm_s\": {:.12},\n  \"simd_gemm_gops\": {:.3},\n  \"naive_gemm_gops\": {:.3},\n  \"gemm_speedup\": {:.3},\n  \"i8_kernel\": \"{}\",\n  \"encode_gemm_s\": {:.12},\n  \"encode_naive_s\": {:.12},\n  \"encode_speedup\": {:.3},\n  \"score_gemm_s\": {:.12},\n  \"score_naive_s\": {:.12},\n  \"score_speedup\": {:.3},\n  \"f32_rows\": {},\n  \"f32_encode_gemm_s\": {:.12},\n  \"f32_encode_reference_s\": {:.12},\n  \"f32_encode_speedup\": {:.3},\n  \"f32_score_gemm_s\": {:.12},\n  \"f32_score_reference_s\": {:.12},\n  \"f32_score_speedup\": {:.3},\n  \"bundle_vectors\": {},\n  \"bundle_s\": {:.12},\n  \"bundle_gib_s\": {:.3}\n}}\n",
+            self.provenance.json_lines(),
             self.smoke,
             self.dim,
             self.rows,
@@ -278,6 +333,13 @@ impl KernelsBenchReport {
             self.score_gemm_s,
             self.score_naive_s,
             self.score_speedup,
+            self.f32_rows,
+            self.f32_encode_gemm_s,
+            self.f32_encode_reference_s,
+            self.f32_encode_speedup,
+            self.f32_score_gemm_s,
+            self.f32_score_reference_s,
+            self.f32_score_speedup,
             self.bundle_vectors,
             self.bundle_s,
             self.bundle_gib_s,
@@ -340,6 +402,10 @@ mod tests {
             wall_speedup: 2.0,
             threads: 2,
             smoke: true,
+            provenance: Provenance {
+                git_describe: Some("1de1985".to_string()),
+                nproc: 2,
+            },
         }
     }
 
@@ -350,7 +416,8 @@ mod tests {
         assert!(json.ends_with("}\n"));
         for key in [
             "\"bench\": \"pipeline\"",
-            "\"git_describe\": null",
+            "\"git_describe\": \"1de1985\"",
+            "\"nproc\": 2",
             "\"smoke\": true",
             "\"threads\": 2",
             "\"simulated_speedup\": 1.5000",
@@ -359,7 +426,23 @@ mod tests {
             assert!(json.contains(key), "missing `{key}` in\n{json}");
         }
         // One key per line so CI can grep values without a JSON parser.
-        assert_eq!(json.lines().count(), 12);
+        assert_eq!(json.lines().count(), 13);
+    }
+
+    #[test]
+    fn provenance_without_a_revision_is_null() {
+        let json = PipelineBenchReport {
+            provenance: Provenance {
+                git_describe: None,
+                nproc: 4,
+            },
+            ..sample()
+        }
+        .to_json();
+        assert!(
+            json.contains("\"git_describe\": null,\n  \"nproc\": 4,\n"),
+            "{json}"
+        );
     }
 
     #[test]
@@ -382,11 +465,16 @@ mod tests {
             min_recovered_frac: 0.5,
             total_faults: 7,
             smoke: true,
+            provenance: Provenance {
+                git_describe: Some("1de1985-dirty".to_string()),
+                nproc: 2,
+            },
         }
         .to_json();
         for key in [
             "\"bench\": \"resilience\"",
-            "\"git_describe\": null",
+            "\"git_describe\": \"1de1985-dirty\"",
+            "\"nproc\": 2",
             "\"smoke\": true",
             "\"zero_fault_overhead\": 1.000000",
             "\"min_recovered_frac\": 0.500000",
@@ -394,7 +482,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing `{key}` in\n{json}");
         }
-        assert_eq!(json.lines().count(), 15);
+        assert_eq!(json.lines().count(), 16);
     }
 
     #[test]
@@ -421,12 +509,21 @@ mod tests {
             score_gemm_s: 0.0001,
             score_naive_s: 0.001,
             score_speedup: 10.0,
+            f32_rows: 600,
+            f32_encode_gemm_s: 0.03,
+            f32_encode_reference_s: 1.5,
+            f32_encode_speedup: 50.0,
+            f32_score_gemm_s: 0.002,
+            f32_score_reference_s: 0.05,
+            f32_score_speedup: 25.0,
             bundle_vectors: 33,
             bundle_s: 0.0001,
             bundle_gib_s: 3.0,
             smoke: true,
-            nproc: 2,
-            git_describe: Some("b4a61da-dirty".to_string()),
+            provenance: Provenance {
+                git_describe: Some("b4a61da-dirty".to_string()),
+                nproc: 2,
+            },
         }
         .to_json();
         for key in [
@@ -439,10 +536,13 @@ mod tests {
             "\"gemm_speedup\": 10.000",
             "\"i8_kernel\": \"avx2\"",
             "\"bundle_gib_s\": 3.000",
+            "\"f32_rows\": 600",
+            "\"f32_encode_speedup\": 50.000",
+            "\"f32_score_speedup\": 25.000",
         ] {
             assert!(json.contains(key), "missing `{key}` in\n{json}");
         }
-        assert_eq!(json.lines().count(), 30);
+        assert_eq!(json.lines().count(), 37);
     }
 
     #[test]
@@ -461,17 +561,22 @@ mod tests {
             serve_pipelined_s: 0.0025,
             serve_speedup: 1.6,
             smoke: true,
+            provenance: Provenance {
+                git_describe: Some("1de1985".to_string()),
+                nproc: 8,
+            },
         }
         .to_json();
         for key in [
             "\"bench\": \"schedule\"",
-            "\"git_describe\": null",
+            "\"git_describe\": \"1de1985\"",
+            "\"nproc\": 8",
             "\"smoke\": true",
             "\"max_abs_delta_s\": 0.000000000000000",
             "\"serve_speedup\": 1.6000",
         ] {
             assert!(json.contains(key), "missing `{key}` in\n{json}");
         }
-        assert_eq!(json.lines().count(), 17);
+        assert_eq!(json.lines().count(), 18);
     }
 }

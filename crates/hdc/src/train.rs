@@ -556,11 +556,15 @@ where
     Ok((class_hvs, stats))
 }
 
+/// The class whose row scores highest against `sample`, ties to the
+/// first maximum. All classes are scored in one [`ops::dots`] call, each
+/// score bit-identical to `ops::dot(sample, class)`.
 fn predict_one(class_rows: &[Vec<f32>], sample: &[f32]) -> Result<usize> {
+    let mut scores = vec![0.0f32; class_rows.len()];
+    ops::dots(sample, class_rows, &mut scores).map_err(HdcError::from)?;
     let mut best = 0usize;
     let mut best_score = f32::NEG_INFINITY;
-    for (j, class) in class_rows.iter().enumerate() {
-        let score = ops::dot(sample, class).map_err(HdcError::from)?;
+    for (j, &score) in scores.iter().enumerate() {
         if score > best_score {
             best_score = score;
             best = j;

@@ -276,10 +276,14 @@ fn compile_inner(
         });
     }
 
-    let quantized = if per_channel {
-        QuantizedModel::quantize_per_channel(model, calibration)?
+    // Quantization hard-errors on overflow and hands back its range
+    // report (intervals + warnings), which stays attached to the artifact
+    // so every backend-compiled model is range-verified once per cache
+    // entry.
+    let (quantized, range_report) = if per_channel {
+        QuantizedModel::quantize_per_channel_checked(model, calibration)?
     } else {
-        QuantizedModel::quantize(model, calibration)?
+        QuantizedModel::quantize_checked(model, calibration, hd_quant::CalibrationMethod::MinMax)?
     };
 
     let required = quantized.param_bytes();
@@ -320,12 +324,6 @@ fn compile_inner(
             weight_bytes: bytes,
         });
     }
-
-    // Quantization already hard-errored on overflow; keep the full report
-    // (intervals + warnings) attached to the artifact so every
-    // backend-compiled model is range-verified once per cache entry.
-    let range_report =
-        crate::absint::analyze_ranges(&quantized, &crate::absint::RangeConfig::default());
 
     Ok(CompiledModel {
         target: target.clone(),
@@ -446,6 +444,21 @@ mod tests {
         assert_eq!(compiled.input_dim(), 16);
         assert_eq!(compiled.output_dim(), 4);
         assert_eq!(compiled.param_bytes(), direct.param_bytes());
+    }
+
+    #[test]
+    fn attached_range_report_is_the_analysis_of_the_compiled_model() {
+        let (model, calib) = model_and_calib(16, 48, 4);
+        let default = crate::absint::RangeConfig::default();
+        for compiled in [
+            compile(&model, &calib, &TargetSpec::default()).unwrap(),
+            compile_per_channel(&model, &calib, &TargetSpec::default()).unwrap(),
+        ] {
+            assert_eq!(
+                compiled.range_report(),
+                &crate::absint::analyze_ranges(compiled.quantized(), &default)
+            );
+        }
     }
 
     #[test]

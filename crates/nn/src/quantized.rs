@@ -6,6 +6,7 @@ use hd_quant::lut::ActivationLut;
 use hd_quant::{gemm as qgemm, CalibrationMethod, Calibrator, QuantParams, QuantizedMatrix};
 use hd_tensor::Matrix;
 
+use crate::absint::RangeReport;
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::model::Model;
@@ -13,15 +14,16 @@ use crate::Result;
 
 /// Gate every freshly quantized model through the interval range
 /// analysis: a model whose worst-case accumulator can overflow the i32
-/// datapath must never reach an executor.
-fn check_ranges(model: &QuantizedModel) -> Result<()> {
+/// datapath must never reach an executor. Returns the (error-free)
+/// report so a compile can attach it without analyzing again.
+fn check_ranges(model: &QuantizedModel) -> Result<RangeReport> {
     let report = crate::absint::analyze_ranges(model, &crate::absint::RangeConfig::default());
     if report.has_errors() {
         return Err(NnError::Verification {
             diagnostics: report.errors().cloned().collect(),
         });
     }
-    Ok(())
+    Ok(report)
 }
 
 /// One executable stage of a quantized model.
@@ -107,7 +109,16 @@ impl QuantizedModel {
     /// Same as [`QuantizedModel::quantize`], plus per-channel
     /// quantization errors for non-finite weights.
     pub fn quantize_per_channel(model: &Model, calibration: &Matrix) -> Result<Self> {
-        let base = Self::quantize_with(model, calibration, CalibrationMethod::MinMax)?;
+        Ok(Self::quantize_per_channel_checked(model, calibration)?.0)
+    }
+
+    /// [`QuantizedModel::quantize_per_channel`] plus the range report of
+    /// its final gate.
+    pub(crate) fn quantize_per_channel_checked(
+        model: &Model,
+        calibration: &Matrix,
+    ) -> Result<(Self, RangeReport)> {
+        let (base, _) = Self::quantize_checked(model, calibration, CalibrationMethod::MinMax)?;
         // Re-quantize the FC stages per channel from the float weights.
         let mut stages = Vec::with_capacity(base.stages.len());
         let mut float_fc = model.layers().iter().filter_map(|l| match l {
@@ -131,8 +142,8 @@ impl QuantizedModel {
         let rebuilt = QuantizedModel { stages, ..base };
         // Per-channel scales change the accumulator magnitudes, so the
         // range gate runs again on the rebuilt stages.
-        check_ranges(&rebuilt)?;
-        Ok(rebuilt)
+        let report = check_ranges(&rebuilt)?;
+        Ok((rebuilt, report))
     }
 
     /// Quantizes with an explicit calibration method (e.g. percentile
@@ -146,6 +157,16 @@ impl QuantizedModel {
         calibration: &Matrix,
         method: CalibrationMethod,
     ) -> Result<Self> {
+        Ok(Self::quantize_checked(model, calibration, method)?.0)
+    }
+
+    /// [`QuantizedModel::quantize_with`] plus the range report of its
+    /// gate.
+    pub(crate) fn quantize_checked(
+        model: &Model,
+        calibration: &Matrix,
+        method: CalibrationMethod,
+    ) -> Result<(Self, RangeReport)> {
         let tensors = model.forward_with_intermediates(calibration)?;
         let mut tensor_params = Vec::with_capacity(tensors.len());
         for t in &tensors {
@@ -194,8 +215,8 @@ impl QuantizedModel {
             input_params: params_at(0)?,
             stages,
         };
-        check_ranges(&quantized)?;
-        Ok(quantized)
+        let report = check_ranges(&quantized)?;
+        Ok((quantized, report))
     }
 
     /// Builds a quantized model from raw parts (used by deserialization).

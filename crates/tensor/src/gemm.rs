@@ -2,12 +2,23 @@
 //!
 //! HDC encoding is "indeed a vector–matrix multiplication that is ready to
 //! accelerate on most hardware accelerators" (paper, Section III-A); on the
-//! host CPU baseline it is a plain SGEMM. This module provides a cache
-//! blocked `f32` kernel, the `i8 x i8 -> i32` kernel behind every int8
-//! product in the workspace (the quantized executor and the simulated
-//! device compute through it), and a row-parallel driver — a two-stage
-//! SDF schedule (plan → rows) executed through the generic runtime in
-//! [`hd_dataflow::runtime`].
+//! host CPU baseline it is a plain SGEMM. This module provides the `f32`
+//! GEMM behind every host encode and scoring product, the
+//! `i8 x i8 -> i32` GEMM behind every int8 product in the workspace (the
+//! quantized executor and the simulated device compute through it), and
+//! a row-parallel driver — a two-stage SDF schedule (plan → rows)
+//! executed through the generic runtime in [`hd_dataflow::runtime`].
+//!
+//! Each product has one entry and one contract. [`matmul`] /
+//! [`matmul_into`] are bit-identical to [`matmul_reference`] on every
+//! input, infinities and NaNs included: each element is summed from
+//! `+0.0` in ascending `p`, every product rounded before it is added (no
+//! fused multiply-add). [`matmul_i8_i32`] is bit-exact with
+//! [`matmul_i8_i32_reference`]. Both dispatch to a register-blocked AVX2
+//! microkernel (in the crate's `simd` module) when the host has AVX2 and
+//! the SIMD switch permits it ([`crate::kernels::set_simd_enabled`],
+//! `HD_NO_SIMD`), and to a portable blocked kernel otherwise. Only the
+//! `i8` product bumps the [`crate::kernels`] counters.
 //!
 //! Two kinds of time are reported for this work, and they are kept
 //! apart. The *analytic* runtime models in the `cpu-model` and `tpu-sim`
@@ -25,10 +36,11 @@ use hd_dataflow::runtime::{self, Binding, ExecutablePlan, Fire};
 use hd_dataflow::{Resource, SdfGraph};
 
 use crate::error::TensorError;
+use crate::kernels::simd_selected;
 use crate::matrix::Matrix;
 use crate::Result;
 
-/// Cache-block edge length used by the inner kernel.
+/// Cache-block edge length used by the portable kernels.
 const BLOCK: usize = 64;
 
 /// Process-wide worker-thread cap set via [`set_thread_cap`]; `0` means
@@ -51,8 +63,10 @@ fn check_compatible(a: &Matrix, b: &Matrix, op: &'static str) -> Result<()> {
 
 /// Multiplies `a (m x k)` by `b (k x n)`, producing an `m x n` matrix.
 ///
-/// Uses a blocked kernel, and splits rows across threads when the output is
-/// large enough to amortize thread startup.
+/// Uses a register-blocked SIMD or blocked portable kernel, and splits
+/// rows across threads when the output is large enough to amortize
+/// thread startup. Every kernel and thread count gives the same bits as
+/// [`matmul_reference`].
 ///
 /// # Errors
 ///
@@ -95,16 +109,37 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
     }
     let (m, k) = a.shape();
     let n = b.cols();
-    out.as_mut_slice().fill(0.0);
-
-    let work = m.saturating_mul(n);
+    let out = out.as_mut_slice();
+    out.fill(0.0);
+    let use_simd = simd_selected();
+    let b = b.as_slice();
+    let band = |a: &[f32], out: &mut [f32], rows: usize| f32_band(a, b, out, rows, k, n, use_simd);
     let threads = available_threads();
-    if work >= PARALLEL_THRESHOLD && threads > 1 && m > 1 {
-        parallel_rows(a, b, out, threads);
+    if m.saturating_mul(n) >= PARALLEL_THRESHOLD && threads > 1 && m > 1 {
+        parallel_rows(a.as_slice(), out, (m, k, n), threads, band);
     } else {
-        block_kernel(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
+        band(a.as_slice(), out, m);
     }
     Ok(())
+}
+
+/// Serial `f32` band kernel: `out (m x n) = a (m x k) * b (k x n)`
+/// through the AVX2 or portable implementation. `out` must be zeroed by
+/// the caller.
+fn f32_band(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, use_simd: bool) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if use_simd {
+        // SAFETY: `use_simd` is only true after the dispatcher observed
+        // `is_x86_feature_detected!("avx2")`; slice bounds are checked by
+        // `matmul_into` and the band carving in `parallel_rows`.
+        #[allow(unsafe_code)]
+        unsafe {
+            crate::simd::gemm_f32_avx2(a, b, out, m, k, n)
+        };
+        return;
+    }
+    let _ = use_simd;
+    block_kernel(a, b, out, m, k, n);
 }
 
 /// Vector–matrix product `x (1 x k) * b (k x n)`, returning a length-`n`
@@ -137,9 +172,9 @@ pub fn matvec(x: &[f32], b: &Matrix) -> Result<Vec<f32>> {
 }
 
 /// Caps the number of worker threads the parallel kernels may use; `0`
-/// clears the cap. `1` forces the exact sequential kernel, which callers
-/// use to pin bit-exact reproductions and to keep wall-clock measurements
-/// of *other* parallelism (e.g. per-member training threads) honest.
+/// clears the cap. `1` forces the sequential kernel, which callers use to
+/// keep wall-clock measurements of *other* parallelism (e.g. per-member
+/// training threads) honest; the result bits do not depend on it.
 pub fn set_thread_cap(threads: usize) {
     THREAD_CAP.store(threads, Ordering::Relaxed);
 }
@@ -169,30 +204,36 @@ pub fn available_threads() -> usize {
 }
 
 /// One row-band of the output, paired with the matching band of `a`.
-struct RowJob<'a> {
-    a: &'a [f32],
-    out: &'a mut [f32],
+struct RowJob<'a, A, O> {
+    a: &'a [A],
+    out: &'a mut [O],
     rows: usize,
 }
 
-fn parallel_rows(a: &Matrix, b: &Matrix, out: &mut Matrix, threads: usize) {
-    let (m, k) = a.shape();
-    let n = b.cols();
+/// Row-band parallel driver shared by the `f32` and `i8` products:
+/// carves `out (m x n)` into one band of rows per worker and runs
+/// `band(a_rows, out_rows, rows)` on each through a two-stage SDF
+/// schedule (plan -> rows) executed by the generic runtime.
+fn parallel_rows<A: Sync, O: Send>(
+    a: &[A],
+    out: &mut [O],
+    (m, k, n): (usize, usize, usize),
+    threads: usize,
+    band: impl Fn(&[A], &mut [O], usize) + Sync,
+) {
     let rows_per_chunk = m.div_ceil(threads).max(1);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
 
     // Carve the output into disjoint row bands up front; the plan stage
     // hands one band per firing to the worker-pooled rows stage.
     let mut jobs = Vec::new();
-    let mut remaining = out.as_mut_slice();
+    let mut remaining = out;
     let mut row_start = 0;
     while row_start < m {
         let rows_here = rows_per_chunk.min(m - row_start);
         let (chunk, rest) = remaining.split_at_mut(rows_here * n);
         remaining = rest;
         jobs.push(RowJob {
-            a: &a_data[row_start * k..(row_start + rows_here) * k],
+            a: &a[row_start * k..(row_start + rows_here) * k],
             out: chunk,
             rows: rows_here,
         });
@@ -207,7 +248,8 @@ fn parallel_rows(a: &Matrix, b: &Matrix, out: &mut Matrix, threads: usize) {
     let plan = ExecutablePlan::validate(graph).expect("gemm row schedule is statically valid");
 
     let mut jobs = Some(jobs);
-    let bindings: Vec<Binding<'_, RowJob<'_>, Infallible>> = vec![
+    let band = &band;
+    let bindings: Vec<Binding<'_, RowJob<'_, A, O>, Infallible>> = vec![
         Binding::Map(Box::new(move |_, _| {
             Ok((jobs.take().unwrap_or_default(), Fire::Continue))
         })),
@@ -215,7 +257,7 @@ fn parallel_rows(a: &Matrix, b: &Matrix, out: &mut Matrix, threads: usize) {
             workers: threads,
             f: Box::new(move |_, mut inputs| {
                 let job = inputs.pop().expect("one row band per firing");
-                block_kernel(job.a, b_data, job.out, job.rows, k, n);
+                band(job.a, job.out, job.rows);
                 Ok(Vec::new())
             }),
         },
@@ -223,10 +265,14 @@ fn parallel_rows(a: &Matrix, b: &Matrix, out: &mut Matrix, threads: usize) {
     runtime::run(&plan, 1, bindings).expect("gemm row schedule cannot fail");
 }
 
-/// The serial blocked kernel: `out (m x n) += a (m x k) * b (k x n)`.
+/// The portable blocked `f32` kernel: `out (m x n) += a (m x k) * b (k x n)`.
 ///
 /// `out` must be zeroed by the caller. Iteration order is (i, p, j) within
-/// blocks so the innermost loop streams both `b` and `out` rows.
+/// blocks so the innermost loop streams both `b` and `out` rows. Every
+/// element still receives its products in ascending `p`, each rounded
+/// before it is added, so the result is bit-identical to
+/// [`matmul_reference`]. No product is skipped, not even one whose `a`
+/// factor is zero: `0 · inf` is NaN in the reference too.
 fn block_kernel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     for ib in (0..m).step_by(BLOCK) {
         let i_end = (ib + BLOCK).min(m);
@@ -239,9 +285,6 @@ fn block_kernel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: us
                     let out_row = &mut out[i * n + jb..i * n + j_end];
                     for p in pb..p_end {
                         let av = a_row[p];
-                        if av == 0.0 {
-                            continue;
-                        }
                         let b_row = &b[p * n + jb..p * n + j_end];
                         for (o, &bv) in out_row.iter_mut().zip(b_row) {
                             *o += av * bv;
@@ -270,24 +313,11 @@ fn check_i8_shapes(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Result<(
     Ok(())
 }
 
-/// Whether the SIMD `i8` kernel would be selected right now: policy
-/// (`set_simd_enabled` / `HD_NO_SIMD`) plus runtime feature detection.
-fn i8_simd_selected() -> bool {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        crate::kernels::simd_permitted() && std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    {
-        false
-    }
-}
-
 /// Name of the `i8` GEMM kernel the dispatcher would select right now
 /// (`"avx2"` or `"portable"`). Exposed via
 /// [`crate::kernels::i8_gemm_kernel_name`].
 pub(crate) fn selected_i8_kernel() -> &'static str {
-    if i8_simd_selected() {
+    if simd_selected() {
         "avx2"
     } else {
         "portable"
@@ -323,18 +353,19 @@ pub(crate) fn selected_i8_kernel() -> &'static str {
 pub fn matmul_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, za: i8) -> Result<Vec<i32>> {
     check_i8_shapes(a, b, m, k, n)?;
     let mut out = vec![0i32; m.saturating_mul(n)];
-    let use_simd = i8_simd_selected();
+    let use_simd = simd_selected();
     if use_simd {
         crate::kernels::note_simd_gemm();
     } else {
         crate::kernels::note_portable_gemm();
     }
-    let shape = I8Shape { k, n, za, use_simd };
+    let band =
+        |a: &[i8], out: &mut [i32], rows: usize| i8_band(a, b, out, rows, k, n, za, use_simd);
     let threads = available_threads();
     if m.saturating_mul(n) >= PARALLEL_THRESHOLD && threads > 1 && m > 1 {
-        parallel_rows_i8(a, b, &mut out, m, shape, threads);
+        parallel_rows(a, &mut out, (m, k, n), threads, band);
     } else {
-        shape.band(a, b, &mut out, m);
+        band(a, &mut out, m);
     }
     Ok(out)
 }
@@ -369,87 +400,33 @@ pub fn matmul_i8_i32_reference(
     Ok(out)
 }
 
-/// Everything about one `i8` product but the rows of `a` a band holds.
-#[derive(Clone, Copy)]
-struct I8Shape {
+/// Serial `i8` band kernel: `out (m x n) = (a - za) (m x k) * b (k x n)`
+/// through the AVX2 or portable implementation. `out` must be zeroed by
+/// the caller.
+#[allow(clippy::too_many_arguments)]
+fn i8_band(
+    a: &[i8],
+    b: &[i8],
+    out: &mut [i32],
+    m: usize,
     k: usize,
     n: usize,
     za: i8,
     use_simd: bool,
-}
-
-impl I8Shape {
-    /// Serial band kernel: `out (m x n) = (a - za) (m x k) * b (k x n)`
-    /// through the AVX2 or portable implementation. `out` must be zeroed
-    /// by the caller.
-    fn band(self, a: &[i8], b: &[i8], out: &mut [i32], m: usize) {
-        let I8Shape { k, n, za, use_simd } = self;
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        if use_simd {
-            // SAFETY: `use_simd` is only true after the dispatcher observed
-            // `is_x86_feature_detected!("avx2")`; slice bounds are checked by
-            // `check_i8_shapes` and the band carving in `parallel_rows_i8`.
-            #[allow(unsafe_code)]
-            unsafe {
-                simd::gemm_i8_avx2(a, b, out, m, k, n, za)
-            };
-            return;
-        }
-        let _ = use_simd;
-        i8_portable_kernel(a, b, out, m, k, n, za);
+) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if use_simd {
+        // SAFETY: `use_simd` is only true after the dispatcher observed
+        // `is_x86_feature_detected!("avx2")`; slice bounds are checked by
+        // `check_i8_shapes` and the band carving in `parallel_rows`.
+        #[allow(unsafe_code)]
+        unsafe {
+            crate::simd::gemm_i8_avx2(a, b, out, m, k, n, za)
+        };
+        return;
     }
-}
-
-/// One row-band of an `i8` product.
-struct RowJobI8<'a> {
-    a: &'a [i8],
-    out: &'a mut [i32],
-    rows: usize,
-}
-
-/// Row-band parallel driver for the `i8` kernel: the same two-stage SDF
-/// schedule (plan -> rows) as the `f32` path, executed through the
-/// generic runtime.
-fn parallel_rows_i8(a: &[i8], b: &[i8], out: &mut [i32], m: usize, shape: I8Shape, threads: usize) {
-    let (k, n) = (shape.k, shape.n);
-    let rows_per_chunk = m.div_ceil(threads).max(1);
-    let mut jobs = Vec::new();
-    let mut remaining = out;
-    let mut row_start = 0;
-    while row_start < m {
-        let rows_here = rows_per_chunk.min(m - row_start);
-        let (chunk, rest) = remaining.split_at_mut(rows_here * n);
-        remaining = rest;
-        jobs.push(RowJobI8 {
-            a: &a[row_start * k..(row_start + rows_here) * k],
-            out: chunk,
-            rows: rows_here,
-        });
-        row_start += rows_here;
-    }
-
-    let bands = jobs.len();
-    let mut graph = SdfGraph::new("gemm-i8-rows");
-    let plan = graph.add_stage("plan", Resource::Host, 0.0);
-    let rows = graph.add_stage("rows", Resource::Host, 0.0);
-    graph.add_channel(plan, rows, bands, 1, Some(bands));
-    let plan = ExecutablePlan::validate(graph).expect("gemm row schedule is statically valid");
-
-    let mut jobs = Some(jobs);
-    let bindings: Vec<Binding<'_, RowJobI8<'_>, Infallible>> = vec![
-        Binding::Map(Box::new(move |_, _| {
-            Ok((jobs.take().unwrap_or_default(), Fire::Continue))
-        })),
-        Binding::ParMap {
-            workers: threads,
-            f: Box::new(move |_, mut inputs| {
-                let job = inputs.pop().expect("one row band per firing");
-                shape.band(job.a, b, job.out, job.rows);
-                Ok(Vec::new())
-            }),
-        },
-    ];
-    runtime::run(&plan, 1, bindings).expect("gemm row schedule cannot fail");
+    let _ = use_simd;
+    i8_portable_kernel(a, b, out, m, k, n, za);
 }
 
 /// Portable blocked `i8` kernel: (i, p, j) loops with `i32` accumulation,
@@ -483,228 +460,9 @@ fn i8_portable_kernel(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n
     }
 }
 
-/// The AVX2 `i8` kernel: a register-blocked microkernel. Isolated in its
-/// own module so the crate-level `deny(unsafe_code)` stays intact
-/// everywhere else; this is the only unsafe code in the workspace's
-/// algorithm crates, and it is compiled out under Miri.
-///
-/// Rows of `a` go in blocks of 64. Within a block the outer loop walks
-/// 64-column slabs of `b`. Each slab is first copied into a per-call
-/// scratch buffer as one contiguous run of k-pairs per 16-column panel,
-/// rows `p` and `p + 1` interleaved byte by byte
-/// (`_mm_unpack{lo,hi}_epi8`). Then, panel by panel, the inner loop walks
-/// 4-row groups of `a` over that copy. A 4 x 16 output tile lives in
-/// eight `i32` accumulators for the whole reduction, so `out` is written
-/// once per element and never read. Each step loads one k-pair of the
-/// panel, sign-extends it to `i16` and multiplies it by
-/// `_mm256_madd_epi16` against the broadcast centred pair
-/// `(a[i,p] - za, a[i,p+1] - za)`, which adds the two products into one
-/// `i32` lane. A centred factor lies in `[-255, 255]` and fits `i16`;
-/// each product is at most `255 · 128 = 32_640` in magnitude and each
-/// pair sum at most `65_280`, so `madd` is exact and the lane sums are
-/// exact under the caller's depth bound (`k * 32_640 <= 2^31 - 1`).
-///
-/// The copy reads `b` once per row block; the 4-row groups then stream
-/// each panel contiguously from L1. Reading the panels in place, at the
-/// row stride and once per 4-row group, made the kernel's speed depend on
-/// where `b` happened to land in the caches, which differed from one
-/// process to the next. The copy also zero-pads an odd `k` and the
-/// columns past `n`, so every shape takes this one path. The scratch
-/// lives for one call: no packed copy of the weights outlives it.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[allow(unsafe_code)]
-mod simd {
-    #[allow(clippy::wildcard_imports)]
-    use std::arch::x86_64::*;
-
-    /// Output columns per panel: one 16-byte load of a `b` row.
-    const PANEL: usize = 16;
-    /// Panels per slab: one 64-byte cache line of a `b` row.
-    const SLAB_PANELS: usize = 4;
-    /// Rows of `a` per register tile.
-    const TILE_ROWS: usize = 4;
-    /// Rows of `a` centred and paired at a time, which bounds the
-    /// kernel's scratch to `ROW_BLOCK * k * 2` bytes however tall `a` is.
-    const ROW_BLOCK: usize = 64;
-
-    /// `out (m x n) = (a - za) (m x k) * b (k x n)`. `out` must be zeroed
-    /// by the caller: an empty product leaves it untouched.
-    ///
-    /// # Safety
-    ///
-    /// Caller must guarantee AVX2 is available and that slice lengths
-    /// match the declared shapes.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm_i8_avx2(
-        a: &[i8],
-        b: &[i8],
-        out: &mut [i32],
-        m: usize,
-        k: usize,
-        n: usize,
-        za: i8,
-    ) {
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        // A panel is kp interleaved k-pairs of 2 x PANEL bytes.
-        let kp = k.div_ceil(2);
-        let panel_len = kp * 2 * PANEL;
-        let mut slab = vec![0i8; n.div_ceil(PANEL).min(SLAB_PANELS) * panel_len];
-        let mut pairs = Vec::with_capacity(ROW_BLOCK.min(m) * kp);
-        for (a, out) in a.chunks(ROW_BLOCK * k).zip(out.chunks_mut(ROW_BLOCK * n)) {
-            let m = out.len() / n;
-            centred_pairs(a, k, za, &mut pairs);
-            for j0 in (0..n).step_by(SLAB_PANELS * PANEL) {
-                let cols = (n - j0).min(SLAB_PANELS * PANEL);
-                // SAFETY: AVX2 is available, columns j0 .. j0 + cols exist
-                // in every row of `b`, and `slab` holds a panel for every
-                // 16 of them.
-                unsafe { pack_slab(b, k, n, j0, cols, &mut slab) };
-                for (packed, c) in slab.chunks_exact(panel_len).zip((0..cols).step_by(PANEL)) {
-                    let width = (cols - c).min(PANEL);
-                    for i in (0..m).step_by(TILE_ROWS) {
-                        let rows = (m - i).min(TILE_ROWS);
-                        let pairs = &pairs[i * kp..(i + rows) * kp];
-                        let out = &mut out[i * n + j0 + c..];
-                        // SAFETY: AVX2 is available, `packed` holds the kp
-                        // k-pairs of this panel, and each of the `rows`
-                        // rows of `out` has `width` lanes from j0 + c.
-                        unsafe {
-                            match rows {
-                                4 => tile::<4>(pairs, kp, packed, out, n, width),
-                                3 => tile::<3>(pairs, kp, packed, out, n, width),
-                                2 => tile::<2>(pairs, kp, packed, out, n, width),
-                                _ => tile::<1>(pairs, kp, packed, out, n, width),
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Centres each `k`-wide row of `a` by `za` and packs it into `pairs`
-    /// as `i16` pairs, one `i32` per k-pair: `a[i,p] - za` in the low
-    /// half, `a[i,p+1] - za` in the high half, and `0` past an odd `k`.
-    /// This is the broadcast operand of `madd`.
-    fn centred_pairs(a: &[i8], k: usize, za: i8, pairs: &mut Vec<i32>) {
-        let za = i32::from(za);
-        pairs.clear();
-        for row in a.chunks_exact(k) {
-            for pair in row.chunks(2) {
-                let lo = i32::from(pair[0]) - za;
-                let hi = pair.get(1).map_or(0, |&q| i32::from(q) - za);
-                pairs.push((lo & 0xFFFF) | (hi << 16));
-            }
-        }
-    }
-
-    /// Copies columns `j0 .. j0 + cols` of `b` into `slab`, one panel of
-    /// k-pairs per 16 columns: pair `q` of a panel starting at column `j`
-    /// is the 32 bytes `b[2q, j], b[2q+1, j], b[2q, j+1], ...`, zero past
-    /// `cols` and past an odd `k`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 is available; `b` holds `k x n` bytes, `j0 + cols <= n`, and
-    /// `slab` holds `cols.div_ceil(PANEL)` panels of
-    /// `k.div_ceil(2) * 2 * PANEL` bytes.
-    #[target_feature(enable = "avx2")]
-    unsafe fn pack_slab(b: &[i8], k: usize, n: usize, j0: usize, cols: usize, slab: &mut [i8]) {
-        let kp = k.div_ceil(2);
-        let panel_len = kp * 2 * PANEL;
-        assert!(j0 + cols <= n && slab.len() >= cols.div_ceil(PANEL) * panel_len);
-        for (packed, j) in slab
-            .chunks_exact_mut(panel_len)
-            .zip((j0..j0 + cols).step_by(PANEL))
-        {
-            let width = (j0 + cols - j).min(PANEL);
-            let mut mask = [0i8; PANEL];
-            mask[..width].fill(-1);
-            // SAFETY: `mask` holds PANEL = 16 bytes.
-            let keep = unsafe { _mm_loadu_si128(mask.as_ptr().cast()) };
-            // Columns j .. j + width of row p, zero past `width`.
-            let row = |p: usize| -> __m128i {
-                if p >= k {
-                    return _mm_setzero_si128();
-                }
-                let start = p * n + j;
-                if start + PANEL <= b.len() {
-                    // SAFETY: b[start .. start + PANEL] is in bounds; the
-                    // bytes past `width` are masked off.
-                    let lanes = unsafe { _mm_loadu_si128(b.as_ptr().add(start).cast()) };
-                    return _mm_and_si128(lanes, keep);
-                }
-                // The last row of `b` may hold fewer than PANEL bytes from
-                // column j on.
-                let mut lanes = [0i8; PANEL];
-                lanes[..width].copy_from_slice(&b[start..start + width]);
-                // SAFETY: `lanes` holds PANEL = 16 bytes.
-                unsafe { _mm_loadu_si128(lanes.as_ptr().cast()) }
-            };
-            for q in 0..kp {
-                let (r0, r1) = (row(2 * q), row(2 * q + 1));
-                // SAFETY: k-pair q spans bytes 32q .. 32q + 32 of
-                // `packed`, which holds kp of them.
-                unsafe {
-                    let dst = packed.as_mut_ptr().add(q * 2 * PANEL);
-                    _mm_storeu_si128(dst.cast(), _mm_unpacklo_epi8(r0, r1));
-                    _mm_storeu_si128(dst.add(PANEL).cast(), _mm_unpackhi_epi8(r0, r1));
-                }
-            }
-        }
-    }
-
-    /// An `R x 16` register tile: accumulates the whole reduction in
-    /// `2 R` `i32` vectors, then stores the first `width` columns of each
-    /// row.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 is available; `pairs` holds `R` rows of `kp` centred pairs,
-    /// `packed` holds `kp` k-pairs of one panel, and every row `r < R` of
-    /// `out` has `width <= PANEL` writable lanes at `r * ldo`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn tile<const R: usize>(
-        pairs: &[i32],
-        kp: usize,
-        packed: &[i8],
-        out: &mut [i32],
-        ldo: usize,
-        width: usize,
-    ) {
-        assert!(pairs.len() >= R * kp && packed.len() >= kp * 2 * PANEL);
-        let mut acc = [[_mm256_setzero_si256(); 2]; R];
-        for q in 0..kp {
-            // SAFETY: k-pair q spans bytes 32q .. 32q + 32 of `packed`,
-            // and r * kp + q < R * kp <= pairs.len(), both asserted above.
-            unsafe {
-                let pair = packed.as_ptr().add(q * 2 * PANEL);
-                let lo = _mm256_cvtepi8_epi16(_mm_loadu_si128(pair.cast()));
-                let hi = _mm256_cvtepi8_epi16(_mm_loadu_si128(pair.add(PANEL).cast()));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let va = _mm256_set1_epi32(*pairs.get_unchecked(r * kp + q));
-                    acc_r[0] = _mm256_add_epi32(acc_r[0], _mm256_madd_epi16(va, lo));
-                    acc_r[1] = _mm256_add_epi32(acc_r[1], _mm256_madd_epi16(va, hi));
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate() {
-            let row = &mut out[r * ldo..];
-            let mut lanes = [0i32; PANEL];
-            // SAFETY: `lanes` holds PANEL = 2 x 8 lanes.
-            unsafe {
-                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc_r[0]);
-                _mm256_storeu_si256(lanes.as_mut_ptr().add(8).cast(), acc_r[1]);
-            }
-            row[..width].copy_from_slice(&lanes[..width]);
-        }
-    }
-}
-
-/// Reference (naive triple-loop) multiplication used by tests to validate
-/// the blocked/parallel kernels.
+/// Reference (naive triple-loop) multiplication: each element summed
+/// from `+0.0` in ascending `p`. [`matmul`] and [`matmul_into`] match it
+/// bit for bit, on every kernel and thread count.
 ///
 /// # Errors
 ///
@@ -858,6 +616,50 @@ mod tests {
         assert_close(&fast, &slow, 1e-3);
         set_thread_cap(0);
         assert!(available_threads() >= 1);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn f32_gemm_matches_reference_bit_for_bit_all_kernels() {
+        let _guard = crate::kernels::TEST_SIMD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let mut rng = DetRng::new(10);
+        // Shapes cross the 4-row tile, the 16-column panel (full, padded
+        // and both), the portable kernel's 64-wide blocks, an empty
+        // reduction and, kept shallow, the parallel row-band path
+        // (130 x 512 output).
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 7, 5),
+            (17, 93, 41),
+            (64, 64, 64),
+            (65, 63, 66),
+            (9, 617, 26),
+            (4, 2, 16),
+            (2, 0, 3),
+            (130, 7, 512),
+        ] {
+            let mut a = Matrix::random_normal(m, k, &mut rng);
+            a.as_mut_slice()
+                .iter_mut()
+                .step_by(5)
+                .for_each(|v| *v = 0.0);
+            let b = Matrix::random_normal(k, n, &mut rng);
+            let slow = bits(&matmul_reference(&a, &b).unwrap());
+            assert_eq!(
+                bits(&matmul(&a, &b).unwrap()),
+                slow,
+                "({m},{k},{n}) selected kernel"
+            );
+            crate::kernels::set_simd_enabled(false);
+            let portable = matmul(&a, &b).unwrap();
+            crate::kernels::set_simd_enabled(true);
+            assert_eq!(bits(&portable), slow, "({m},{k},{n}) portable kernel");
+        }
     }
 
     fn random_i8(len: usize, rng: &mut DetRng) -> Vec<i8> {

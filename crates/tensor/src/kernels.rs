@@ -1,24 +1,31 @@
 //! Kernel-selection switches and per-thread kernel counters.
 //!
-//! The packed-bipolar and SIMD int8 kernels are drop-in replacements for
+//! The packed-bipolar and SIMD kernels are drop-in replacements for
 //! scalar math, so nothing in an experiment's *output* reveals which
-//! kernel actually ran. This module makes the selection observable: every
-//! kernel entry point bumps a monotone counter of the *calling thread*,
-//! and callers (the execution backends, the serving pipeline) wrap a
-//! workload in [`counted`] on the thread that runs it to attribute kernel
-//! activity in the `BackendLedger` or `ServeReport`. The counters are
+//! kernel actually ran. This module makes the int8 and packed selection
+//! observable: each of those kernel entry points bumps a monotone counter
+//! of the *calling thread*, and callers (the execution backends, the
+//! serving pipeline) wrap a workload in [`counted`] on the thread that
+//! runs it to attribute kernel activity in the `BackendLedger` or
+//! `ServeReport`. The counters are
 //! thread-local, so two workloads running at the same time — parallel
 //! tests, or a server scoring while a pipeline trains — never count each
 //! other's calls. Every `note_*` hook runs on the calling thread before
 //! any row-band fan-out, so a kernel call is counted exactly once, on the
 //! thread that made it.
 //!
+//! The `f32` GEMM ([`crate::gemm::matmul`]) and the multi-row dot
+//! ([`crate::ops::dots`]) are dispatched the same way but are not
+//! counted: they are bit-identical to their scalar references, and the
+//! counters describe the int8 and packed datapaths only.
+//!
 //! It also owns the SIMD escape hatch: [`set_simd_enabled`] (wired to the
 //! CLI's `--no-simd` flag) and the `HD_NO_SIMD` environment variable both
-//! force the portable fallback, which is how the equivalence suite pins
-//! the non-SIMD path on machines where AVX2 would otherwise be selected.
-//! Unlike the counters, this switch is process-wide; the variable is
-//! read once, at the first kernel dispatch.
+//! force the portable fallback of every SIMD kernel (`i8` and `f32` GEMM,
+//! multi-row dot), which is how the equivalence suite pins the non-SIMD
+//! path on machines where AVX2 would otherwise be selected. Unlike the
+//! counters, this switch is process-wide; the variable is read once, at
+//! the first kernel dispatch.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -139,6 +146,20 @@ pub fn simd_permitted() -> bool {
     let vetoed = *ENV_VETO
         .get_or_init(|| std::env::var_os("HD_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0"));
     !vetoed && !SIMD_DISABLED.load(Ordering::Relaxed)
+}
+
+/// Whether the AVX2 kernels would be selected right now: policy
+/// ([`simd_permitted`]) plus runtime feature detection. Every SIMD
+/// dispatch site (`i8` and `f32` GEMM, multi-row dot) asks this.
+pub(crate) fn simd_selected() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        simd_permitted() && std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    {
+        false
+    }
 }
 
 /// Name of the `i8` GEMM kernel the dispatcher would select right now.

@@ -8,12 +8,13 @@
 //! * [`Matrix`] — an owned, row-major, dense `f32` matrix with shape-checked
 //!   constructors, views, and stacking operations,
 //! * [`gemm`] — blocked, optionally multi-threaded matrix multiplication
-//!   (`f32` and SIMD-accelerated `i8`×`i8`→`i32`),
+//!   (SIMD-accelerated `f32` and `i8`×`i8`→`i32`),
 //! * [`packed`] — bit-packed ±1 bipolar kernels: XOR+popcount scoring and
 //!   vertical-counter majority bundling,
 //! * [`kernels`] — kernel-selection switches (`--no-simd` / `HD_NO_SIMD`)
-//!   and process-wide kernel counters,
-//! * [`ops`] — vector kernels (dot, norms, `tanh`, argmax, axpy, cosine),
+//!   and per-thread kernel counters,
+//! * [`ops`] — vector kernels (dot and multi-row dot, norms, `tanh`,
+//!   argmax, axpy, cosine),
 //! * [`rng`] — a deterministic random number generator with normal sampling,
 //!   used everywhere a paper experiment needs reproducible randomness,
 //! * [`stats`] — summary statistics used by quantization calibration.
@@ -32,14 +33,17 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the SIMD int8 GEMM kernel in
-// `gemm::simd` needs `std::arch` intrinsics behind a scoped
-// `#[allow(unsafe_code)]`; everything else in the crate stays safe.
+// `deny` rather than `forbid`: the AVX2 kernels in `simd` (the `i8` and
+// `f32` GEMM microkernels and the multi-row dot) need `std::arch`
+// intrinsics behind a scoped `#[allow(unsafe_code)]`, plus one call site
+// each in `gemm` and `ops`; everything else in the crate stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
 mod matrix;
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod simd;
 
 pub mod gemm;
 pub mod kernels;

@@ -50,6 +50,61 @@ pub fn dot(a: &[f32], b: &[f32]) -> Result<f32> {
     Ok(sum)
 }
 
+/// Dot products of `x` with every row of `rows`: `out[r]` is
+/// bit-identical to `dot(x, rows[r])`.
+///
+/// This is the perceptron trainer's class scoring (one sample against
+/// every class hypervector). With AVX2 selected (see
+/// [`crate::kernels::set_simd_enabled`]) it scores eight rows per pass
+/// over `x`, each in [`dot`]'s four lanes and reduction order, so their
+/// add chains run in parallel instead of one after another. Otherwise
+/// it calls [`dot`] per row.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `out` does not hold one
+/// value per row or a row's length differs from `x`'s.
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), hd_tensor::TensorError> {
+/// let mut out = [0.0; 2];
+/// hd_tensor::ops::dots(&[1.0, 2.0], &[[3.0, 4.0], [-1.0, 0.5]], &mut out)?;
+/// assert_eq!(out, [11.0, 0.0]);
+/// # Ok(())
+/// # }
+/// ```
+pub fn dots<R: AsRef<[f32]>>(x: &[f32], rows: &[R], out: &mut [f32]) -> Result<()> {
+    if out.len() != rows.len() {
+        return Err(TensorError::ShapeMismatch {
+            op: "dots (output)",
+            lhs: (1, out.len()),
+            rhs: (rows.len(), x.len()),
+        });
+    }
+    if let Some(row) = rows.iter().find(|row| row.as_ref().len() != x.len()) {
+        return Err(TensorError::ShapeMismatch {
+            op: "dots",
+            lhs: (1, x.len()),
+            rhs: (1, row.as_ref().len()),
+        });
+    }
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if crate::kernels::simd_selected() {
+        // SAFETY: `simd_selected` observed AVX2.
+        #[allow(unsafe_code)]
+        unsafe {
+            crate::simd::dots_avx2(x, rows, out)
+        };
+        return Ok(());
+    }
+    for (o, row) in out.iter_mut().zip(rows) {
+        *o = dot(x, row.as_ref())?;
+    }
+    Ok(())
+}
+
 /// Euclidean (L2) norm.
 pub fn norm(a: &[f32]) -> f32 {
     a.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -171,6 +226,15 @@ mod tests {
     #[test]
     fn dot_empty_is_zero() {
         assert_eq!(dot(&[], &[]).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn dots_rejects_mismatched_shapes() {
+        let mut out = vec![0.0; 2];
+        assert!(dots(&[1.0, 2.0], &[[1.0, 2.0], [3.0, 4.0]], &mut out[..1]).is_err());
+        assert!(dots(&[1.0, 2.0], &[vec![1.0, 2.0], vec![3.0]], &mut out).is_err());
+        let no_rows: [[f32; 2]; 0] = [];
+        assert!(dots(&[1.0, 2.0], &no_rows, &mut []).is_ok());
     }
 
     #[test]

@@ -4,11 +4,23 @@
 use proptest::prelude::*;
 
 use hd_tensor::rng::DetRng;
-use hd_tensor::{gemm, ops, Matrix};
+use hd_tensor::{gemm, kernels, ops, Matrix};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = DetRng::new(seed);
     Matrix::random_uniform(rows, cols, -2.0, 2.0, &mut rng)
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Widths around the 16-column panel and the 26-class scorer.
+const WIDTHS: [usize; 6] = [1, 15, 16, 17, 26, 33];
+
+/// Depths: empty, 1, 2, a random odd depth, and the isolet feature count.
+fn pick_depth(sel: usize, odd_half: usize) -> usize {
+    [0, 1, 2, 2 * odd_half + 1, 617][sel]
 }
 
 fn assert_close(a: &Matrix, b: &Matrix, tol: f32) -> Result<(), TestCaseError> {
@@ -23,12 +35,46 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn matmul_matches_reference(seed in 0u64..10_000, m in 1usize..20, k in 1usize..20, n in 1usize..20) {
+    fn matmul_matches_reference(
+        seed in 0u64..10_000,
+        m in 1usize..10,
+        (k_sel, odd_half) in (0usize..5, 1usize..40),
+        n_sel in 0usize..6,
+    ) {
+        // Bit for bit: m crosses the 4-row tile, n the 16-column panel.
+        let (k, n) = (pick_depth(k_sel, odd_half), WIDTHS[n_sel]);
         let a = random_matrix(m, k, seed);
         let b = random_matrix(k, n, seed ^ 1);
         let fast = gemm::matmul(&a, &b).unwrap();
         let slow = gemm::matmul_reference(&a, &b).unwrap();
-        assert_close(&fast, &slow, 1e-3)?;
+        prop_assert_eq!(fast.shape(), slow.shape());
+        prop_assert_eq!(bits(&fast), bits(&slow));
+    }
+
+    #[test]
+    fn dots_match_per_row_dot(
+        seed in 0u64..10_000,
+        len_sel in 0usize..72,
+        rows in 1usize..28,
+        portable in any::<bool>(),
+    ) {
+        // Lengths 0..=70 cover every tail of the four-lane accumulator;
+        // 2048 is the hypervector width. Row counts cross the 8-row pass.
+        let len = if len_sel == 71 { 2048 } else { len_sel };
+        let x = random_matrix(1, len, seed).into_vec();
+        let class_rows: Vec<Vec<f32>> = (0..rows)
+            .map(|r| random_matrix(1, len, seed ^ (r as u64 + 100)).into_vec())
+            .collect();
+        let mut out = vec![f32::NAN; rows];
+        if portable {
+            kernels::set_simd_enabled(false);
+        }
+        let scored = ops::dots(&x, &class_rows, &mut out);
+        kernels::set_simd_enabled(true);
+        scored.unwrap();
+        for (got, row) in out.iter().zip(&class_rows) {
+            prop_assert_eq!(got.to_bits(), ops::dot(&x, row).unwrap().to_bits());
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Bit-exactness of every fast host kernel against its scalar
 //! reference: packed bipolar dot/Hamming scoring and vertical-counter
-//! bundling vs their per-component scans, and the runtime-dispatched
-//! `i8` GEMM (input zero point folded in) vs the naive triple loop and an
-//! independent `i64` model — including with SIMD forced off, so the
-//! portable fallback is held to the same contract as the vectorized
+//! bundling vs their per-component scans, the runtime-dispatched `i8`
+//! GEMM (input zero point folded in) vs the naive triple loop and an
+//! independent `i64` model, and the dispatched `f32` GEMM vs its naive
+//! reference on non-finite operands — including with SIMD forced off, so
+//! the portable fallback is held to the same contract as the vectorized
 //! kernel. Dimensions are drawn to cover `d % 64 != 0` tail words, the
 //! packed representation's main edge case, and the GEMM's 4-row tiles,
 //! 16-column panels and odd depths.
@@ -195,6 +196,56 @@ fn i8_gemm_with_simd_forced_off_stays_bit_exact() {
         dispatched,
         gemm::matmul_i8_i32_reference(&a, &b, m, k, n, 0).unwrap()
     );
+}
+
+/// The `f32` GEMM's one contract holds on non-finite input too: with
+/// zeros in `a` and infinities and NaNs in `b`, the dispatched kernel and
+/// the forced-portable kernel give the reference's bits in every finite
+/// cell and a NaN wherever the reference has one (`0 · inf` included, so
+/// no kernel may skip a zero factor).
+#[test]
+fn f32_gemm_with_zeros_and_non_finite_operands_matches_reference() {
+    let mut rng = DetRng::new(31);
+    for (m, k, n) in [(1, 1, 1), (5, 7, 17), (9, 33, 26), (4, 16, 16), (3, 65, 33)] {
+        let mut a = Matrix::random_normal(m, k, &mut rng);
+        for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let mut b = Matrix::random_normal(k, n, &mut rng);
+        for (i, v) in b.as_mut_slice().iter_mut().enumerate() {
+            match i % 11 {
+                0 => *v = f32::INFINITY,
+                4 => *v = f32::NEG_INFINITY,
+                8 => *v = f32::NAN,
+                _ => {}
+            }
+        }
+        let reference = gemm::matmul_reference(&a, &b).unwrap();
+        let dispatched = gemm::matmul(&a, &b).unwrap();
+        kernels::set_simd_enabled(false);
+        let portable = gemm::matmul(&a, &b);
+        kernels::set_simd_enabled(true);
+        let portable = portable.unwrap();
+        assert!(
+            reference.iter().any(|v| v.is_nan()),
+            "({m},{k},{n}) has no NaN cell"
+        );
+        for (kernel, got) in [("dispatched", &dispatched), ("portable", &portable)] {
+            for (cell, (g, r)) in got.iter().zip(reference.iter()).enumerate() {
+                if r.is_nan() {
+                    assert!(g.is_nan(), "({m},{k},{n}) {kernel} cell {cell}: {g} vs NaN");
+                } else {
+                    assert_eq!(
+                        g.to_bits(),
+                        r.to_bits(),
+                        "({m},{k},{n}) {kernel} cell {cell}: {g} vs {r}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The specific tail widths around the 64-lane word boundary, pinned
